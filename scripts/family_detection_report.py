@@ -39,7 +39,6 @@ def main(argv=None) -> int:
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--max-iters", type=int, default=300)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
         n = len(rho.dims)
         for k in range(2, n + 1):
             started = time.perf_counter()
-            report = optimize_probe(rho, k, cfg, threads=args.threads)
+            report = optimize_probe(rho, k, cfg)
             secs = time.perf_counter() - started
             print(f"{name:<22} {k:>3} {report.lhs:>14.6e} {report.verdict:>18} {secs:>7.2f}")
     return 0

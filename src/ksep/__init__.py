@@ -51,7 +51,6 @@ from .criterion import (
     ProductProbe,
     apply_swap,
     evaluate,
-    evaluate_parallel,
     first_term,
     partition_term,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "first_term",
     "partition_term",
     "evaluate",
-    "evaluate_parallel",
     # oracle
     "TwoCopyOperator",
     "build_swap_operator",

@@ -23,11 +23,10 @@ from .criterion import (
     CriterionReport,
     ProductProbe,
     evaluate,
-    evaluate_parallel,
 )
-from .errors import FormatError, KsepError, ParameterError
+from .errors import FormatError, GuardError, KsepError, ParameterError
 from .oracle import equivalence_campaign
-from .partitions import enumerate_kpartitions, stirling2
+from .partitions import MAX_PARTITIONS, enumerate_kpartitions, stirling2
 from .search import (
     BASIS_PAIR,
     GHZ_PAIR,
@@ -52,7 +51,6 @@ EXIT_INPUT = 2
 EXIT_DETECTED = 10
 
 ORACLE_CHECK_THRESHOLD = 1e-10
-MAX_LISTED_PARTITIONS = 1_000_000
 
 
 # --- input parsing -----------------------------------------------------------
@@ -232,13 +230,6 @@ def _emit_report(args, manifest: dict, report: CriterionReport, extra: dict | No
     return EXIT_DETECTED if report.detected else EXIT_OK
 
 
-def _probe_json(probe: ProductProbe) -> dict:
-    return {
-        "u": [[[z.real, z.imag] for z in f] for f in probe.u],
-        "v": [[[z.real, z.imag] for z in f] for f in probe.v],
-    }
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -248,11 +239,7 @@ def _cmd_eval(args) -> int:
     rho.validate()
     rng = np.random.default_rng(args.seed)
     probe = _resolve_probe(args.probe, rho.dims, rng)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads > 1:
-        report = evaluate_parallel(rho, probe, args.k, args.tolerance, max_workers=threads)
-    else:
-        report = evaluate(rho, probe, args.k, args.tolerance)
+    report = evaluate(rho, probe, args.k, args.tolerance)
     manifest = _manifest(
         "eval",
         [state_desc, f"probe:{args.probe}", f"k={args.k}"],
@@ -278,11 +265,10 @@ def _cmd_detect(args) -> int:
     rho, state_desc = _load_state_arg(args)
     rho.validate()
     cfg = _search_config(args)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    report = optimize_probe(rho, args.k, cfg, args.tolerance, threads=threads)
+    report = optimize_probe(rho, args.k, cfg, args.tolerance)
     manifest = _manifest("detect", [state_desc, f"k={args.k}"], args.seed, started)
     manifest["search_config"] = cfg.to_json_dict()
-    return _emit_report(args, manifest, report, extra={"probe": _probe_json(report.probe)})
+    return _emit_report(args, manifest, report, extra={"probe": report.probe.to_json_dict()})
 
 
 def _cmd_scan(args) -> int:
@@ -383,8 +369,8 @@ def _cmd_partitions(args) -> int:
                 {"manifest": manifest, "n": args.n, "k": args.k, "count": count}
             )
         return EXIT_OK
-    if count > MAX_LISTED_PARTITIONS:
-        raise ParameterError(
+    if count > MAX_PARTITIONS:
+        raise GuardError(
             f"{count} partitions is too many to list; use --count-only"
         )
     notations = [part.notation() for part in enumerate_kpartitions(args.n, args.k)]
@@ -416,12 +402,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="stdout format"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: all cores); never changes the numbers",
     )
 
 

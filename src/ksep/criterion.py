@@ -13,22 +13,35 @@ exchanged between the two copies.  Every k-separable state keeps
 lhs <= 0 for every product probe, so lhs > tolerance certifies that rho is
 not k-separable (k = 2: genuine multipartite entanglement).
 
-Each swapped expectation value is a bilinear form on the original D x D
-matrix; the two-copy operators are never materialized here (see ``oracle``
-for the explicit route).
+Every swapped vector x1_s is a product x_a whose site m carries v_m when
+bit m of the label a is set and u_m otherwise (site 0 is the most
+significant bit), and x2_s is x1 of the complement.  So all 2^n diagonal
+weights W[a] = <x_a| rho |x_a> and the first term come out of one
+contraction: rho, reshaped to one ket and one bra axis per site, is
+contracted site by site against the stacked pair [u_m; v_m], a D^2 pass
+that never builds a probe vector.  A partition term then only gathers
+W[s] * W[complement of s] by integer masks from a plan cached per (n, k).
+The two-copy operators are never materialized here (see ``oracle`` for the
+explicit route).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, NumericalError, ParameterError
-from .linalg import UNIT_NORM_TOL, kron_all
-from .partitions import KPartition, enumerate_kpartitions, swap_sets
+from .errors import DimensionError, GuardError, NormalizationError, NumericalError
+from .linalg import UNIT_NORM_TOL
+from .partitions import (
+    MAX_PARTITIONS,
+    KPartition,
+    enumerate_kpartitions,
+    stirling2,
+    swap_sets,
+)
 from .states import DensityMatrix
 
 DEFAULT_TOLERANCE = 1e-9
@@ -37,6 +50,9 @@ DIAG_CLAMP = -1e-12
 
 NOT_K_SEPARABLE = "not_k_separable"
 INCONCLUSIVE = "inconclusive"
+
+# cache key of the (first term, weights) pair of one (rho, probe)
+_WEIGHTS = "weights"
 
 
 @dataclass(frozen=True)
@@ -85,11 +101,18 @@ class ProductProbe:
 
     def copy_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The two full probe vectors (Kronecker chains of the factors)."""
-        return kron_all(self.u), kron_all(self.v)
+        return reduce(np.kron, self.u), reduce(np.kron, self.v)
 
     def swapped(self) -> "ProductProbe":
         """The probe with the two copies exchanged."""
         return ProductProbe(self.v, self.u)
+
+    def to_json_dict(self) -> dict:
+        """Factors as ``[re, im]`` pairs, the probe file format."""
+        return {
+            "u": [[[z.real, z.imag] for z in f] for f in self.u],
+            "v": [[[z.real, z.imag] for z in f] for f in self.v],
+        }
 
 
 @dataclass(frozen=True)
@@ -132,96 +155,125 @@ def apply_swap(probe: ProductProbe, sites) -> tuple[list[np.ndarray], list[np.nd
     Returns (x1, x2) with x1[m] = v[m] on swapped sites and u[m] elsewhere,
     x2[m] the other way around.  Pure index bookkeeping, no arithmetic.
     """
-    return _apply_swap(probe.u, probe.v, frozenset(sites))
-
-
-def _apply_swap(u, v, sites):
+    sites = frozenset(sites)
+    u, v = probe.u, probe.v
     x1 = [v[m] if m in sites else u[m] for m in range(len(u))]
     x2 = [u[m] if m in sites else v[m] for m in range(len(u))]
     return x1, x2
 
 
-def _clamped_diag(rho_mat: np.ndarray, x: np.ndarray) -> float:
-    """<x| rho |x> as a real weight, clamping tiny negative rounding to 0."""
-    value = complex(np.vdot(x, rho_mat @ x)).real
-    if value < 0.0:
-        if value < DIAG_CLAMP:
-            raise NumericalError(
-                f"diagonal expectation value {value!r} is more negative than "
-                f"rounding allows ({DIAG_CLAMP}); the state is not positive semidefinite"
-            )
-        value = 0.0
-    return value
+class _Plan(NamedTuple):
+    """Partitions of n sites into k blocks in enumeration order, with their
+    merged swap sets as site bit masks (one row per partition, one column
+    per swap set) and the exponent multiplicity / (2 k^2) of each column."""
+
+    partitions: tuple[KPartition, ...]
+    masks: np.ndarray
+    expo: np.ndarray
 
 
-def _diag_pair(rho_mat, u, v, sites, all_sites, cache):
-    """Cached pair (<x1|rho|x1>, <x2|rho|x2>) for one swap set.
-
-    The complementary set exchanges the roles of x1 and x2, so its pair is
-    seeded into the cache for free.
-    """
-    pair = cache.get(sites)
-    if pair is None:
-        x1, x2 = _apply_swap(u, v, sites)
-        pair = (
-            _clamped_diag(rho_mat, kron_all(x1)),
-            _clamped_diag(rho_mat, kron_all(x2)),
-        )
-        cache[sites] = pair
-        cache.setdefault(all_sites - sites, (pair[1], pair[0]))
-    return pair
-
-
-def _partition_value(rho_mat, u, v, sets, k, all_sites, cache):
-    """One partition term: multiplicity-weighted product of swapped diagonal
-    pairs under the global 1/(2 k^2) root.
-
-    The root is applied factor by factor, which is algebraically identical
-    to rooting the full product but immune to underflow for large k.  A
-    factor that is exactly zero short-circuits the whole term to zero.
-    """
-    root = 1.0 / (2.0 * k * k)
-    value = 1.0
-    for _i, _j, sites, mult in sets:
-        a, b = _diag_pair(rho_mat, u, v, sites, all_sites, cache)
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        value *= (a * b) ** (mult * root)
-    return value
+def _swap_masks(partitions, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks and exponents of the merged swap sets of ``partitions``."""
+    bit = [1 << (n - 1 - s) for s in range(n)]  # site 0 is the most significant bit
+    masks = np.empty((len(partitions), k * (k + 1) // 2), dtype=np.int64)
+    for row, part in enumerate(partitions):
+        sets = swap_sets(part)
+        masks[row] = [sum(map(bit.__getitem__, sites)) for _i, _j, sites, _mult in sets]
+    # swap_sets orders the block pairs, and so the multiplicities, the same
+    # way for every partition into k blocks
+    expo = np.array([mult for _i, _j, _sites, mult in sets]) * (1.0 / (2.0 * k * k))
+    return masks, expo
 
 
 @lru_cache(maxsize=64)
-def _partition_plan(n: int, k: int):
-    """All partitions of n sites into k blocks with their merged swap sets."""
-    return tuple((part, tuple(swap_sets(part))) for part in enumerate_kpartitions(n, k))
+def _partition_plan(n: int, k: int) -> _Plan:
+    """All partitions of n sites into k blocks with their swap-set masks.
+
+    Raises ParameterError for k outside 1..n and GuardError, before
+    enumerating, when there are more than MAX_PARTITIONS partitions.
+    """
+    parts = enumerate_kpartitions(n, k)
+    count = stirling2(n, k)
+    if count > MAX_PARTITIONS:
+        raise GuardError(
+            f"{count} partitions of {n} sites into {k} blocks exceed the guard {MAX_PARTITIONS}"
+        )
+    parts = tuple(parts)
+    return _Plan(parts, *_swap_masks(parts, n, k))
 
 
-def _first_value(rho_mat, u, v, cache):
-    first = cache.get("first")
-    if first is None:
-        first = abs(complex(np.vdot(kron_all(u), rho_mat @ kron_all(v))))
-        cache["first"] = first
-    return first
+@lru_cache(maxsize=64)
+def _swap_set_keys(n: int) -> tuple[frozenset, ...]:
+    """The site set of every label 0..2^n-1, site 0 the most significant bit."""
+    return tuple(
+        frozenset(s for s in range(n) if label >> (n - 1 - s) & 1)
+        for label in range(1 << n)
+    )
 
 
-def _first_and_terms(rho_mat, u, v, plan, cache=None):
-    """Fast-path evaluation core shared by evaluate and the probe search."""
-    if cache is None:
-        cache = {}
-    all_sites = frozenset(range(len(u)))
-    first = _first_value(rho_mat, u, v, cache)
-    terms = [
-        _partition_value(rho_mat, u, v, sets, part.k, all_sites, cache)
-        for part, sets in plan
-    ]
-    return first, terms
+def _weights(rho_mat, u, v, cache=None) -> tuple[float, np.ndarray]:
+    """First term |<phi1|rho|phi2>| and the 2^n swapped diagonal weights.
+
+    W[a] = <x_a| rho |x_a> with x_a as in the module docstring; tiny negative
+    rounding is clamped to 0.  With a ``cache``, the pair is reused from it
+    and every swap set's (<x1|rho|x1>, <x2|rho|x2>) is stored under its site
+    set, so the complement holds the same floats in exchanged roles.
+    """
+    if cache is not None and _WEIGHTS in cache:
+        return cache[_WEIGHTS]
+    n = len(u)
+    dims = tuple(f.shape[0] for f in u)
+    # ket and bra axes of each site side by side: (i0, j0, i1, j1, ...)
+    interleaved = [ax for m in range(n) for ax in (m, n + m)]
+    w = first = np.ascontiguousarray(rho_mat.reshape(dims + dims).transpose(interleaved))
+    for m in reversed(range(n)):
+        # rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>, flattened over (ket, bra)
+        bras = np.array((u[m], v[m], u[m])).conj()
+        kets = np.array((u[m], v[m], v[m]))
+        forms = (bras[:, :, None] * kets[:, None, :]).reshape(3, -1)
+        # contract the trailing site; its label axis goes in front, so site 0
+        # ends up the most significant bit
+        w = forms[:2] @ w.reshape(-1, forms.shape[1]).T
+        first = first.reshape(-1, forms.shape[1]) @ forms[2]
+    weights = w.reshape(-1).real.copy()
+    low = float(weights.min())
+    if low < DIAG_CLAMP:
+        raise NumericalError(
+            f"diagonal expectation value {low!r} is more negative than "
+            f"rounding allows ({DIAG_CLAMP}); the state is not positive semidefinite"
+        )
+    weights[weights < 0.0] = 0.0
+    result = (abs(complex(first[0])), weights)
+    if cache is not None:
+        cache[_WEIGHTS] = result
+        listed = weights.tolist()
+        cache.update(zip(_swap_set_keys(n), zip(listed, reversed(listed))))
+    return result
 
 
-def _reduce_lhs(first: float, terms) -> float:
-    # summation order is the enumeration order; keep it fixed so that the
-    # serial and parallel paths agree bit for bit
+def _terms(weights: np.ndarray, masks: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """Partition terms: products over each row of swap-set factors.
+
+    The root is applied factor by factor, which is algebraically identical
+    to rooting the full product but immune to underflow for large k.  A
+    zero weight makes its factor 0 ** expo == 0 and so the whole term 0.
+    """
+    # x2 of a swap set is x1 of its complement, whose label is the reversed index
+    pairs = weights * weights[::-1]
+    return np.prod(pairs[masks] ** expo, axis=1)
+
+
+def _first_and_terms(rho_mat, u, v, plan: _Plan, cache=None) -> tuple[float, np.ndarray]:
+    """The evaluation core shared by evaluate and the probe search."""
+    first, weights = _weights(rho_mat, u, v, cache)
+    return first, _terms(weights, plan.masks, plan.expo)
+
+
+def _reduce_lhs(first: float, terms: np.ndarray) -> float:
+    # summation order is the enumeration order, left to right; keep it
+    # fixed so that the lhs is reproducible from the listed terms
     total = 0.0
-    for t in terms:
+    for t in terms.tolist():
         total += t
     return first - total
 
@@ -236,7 +288,7 @@ def _check_compatible(rho: DensityMatrix, probe: ProductProbe) -> None:
 def first_term(rho: DensityMatrix, probe: ProductProbe) -> float:
     """|<phi1| rho |phi2>|, the square root of the total-permutation term."""
     _check_compatible(rho, probe)
-    return _first_value(rho.mat, probe.u, probe.v, {})
+    return _weights(rho.mat, probe.u, probe.v)[0]
 
 
 def partition_term(
@@ -256,30 +308,9 @@ def partition_term(
         raise DimensionError(
             f"partition covers {partition.n} sites, state has {rho.site_count}"
         )
-    all_sites = frozenset(range(partition.n))
-    return _partition_value(
-        rho.mat,
-        probe.u,
-        probe.v,
-        swap_sets(partition),
-        partition.k,
-        all_sites,
-        {} if cache is None else cache,
-    )
-
-
-def _make_report(rho, probe, k, tolerance, plan, first, terms) -> CriterionReport:
-    lhs = _reduce_lhs(first, terms)
-    verdict = NOT_K_SEPARABLE if lhs > tolerance else INCONCLUSIVE
-    return CriterionReport(
-        k=k,
-        lhs=lhs,
-        first_term=first,
-        partition_terms=tuple((part, t) for (part, _), t in zip(plan, terms)),
-        probe=probe,
-        verdict=verdict,
-        tolerance=tolerance,
-    )
+    _, weights = _weights(rho.mat, probe.u, probe.v, cache)
+    masks, expo = _swap_masks((partition,), partition.n, partition.k)
+    return float(_terms(weights, masks, expo)[0])
 
 
 def evaluate(
@@ -297,44 +328,15 @@ def evaluate(
     when the input is untrusted.  ``cache`` as in ``partition_term``.
     """
     _check_compatible(rho, probe)
-    n = rho.site_count
-    if not 1 <= k <= n:
-        raise ParameterError(f"block count k={k} outside 1..{n}")
-    plan = _partition_plan(n, k)
+    plan = _partition_plan(rho.site_count, k)
     first, terms = _first_and_terms(rho.mat, probe.u, probe.v, plan, cache)
-    return _make_report(rho, probe, k, tolerance, plan, first, terms)
-
-
-def evaluate_parallel(
-    rho: DensityMatrix,
-    probe: ProductProbe,
-    k: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_workers: int | None = None,
-) -> CriterionReport:
-    """Same report as ``evaluate``, computing partition terms concurrently.
-
-    Terms are reduced in enumeration order whatever the completion order,
-    and each term is computed by the same scalar operations as in the
-    serial path, so the result is identical bit for bit.
-    """
-    _check_compatible(rho, probe)
-    n = rho.site_count
-    if not 1 <= k <= n:
-        raise ParameterError(f"block count k={k} outside 1..{n}")
-    plan = _partition_plan(n, k)
-    cache: dict = {}
-    all_sites = frozenset(range(n))
-    first = _first_value(rho.mat, probe.u, probe.v, cache)
-    # worker threads share the cache; a racing recompute produces the same
-    # floats, so the reduction below is schedule-independent
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        terms = list(
-            pool.map(
-                lambda entry: _partition_value(
-                    rho.mat, probe.u, probe.v, entry[1], entry[0].k, all_sites, cache
-                ),
-                plan,
-            )
-        )
-    return _make_report(rho, probe, k, tolerance, plan, first, terms)
+    lhs = _reduce_lhs(first, terms)
+    return CriterionReport(
+        k=k,
+        lhs=lhs,
+        first_term=first,
+        partition_terms=tuple(zip(plan.partitions, terms.tolist())),
+        probe=probe,
+        verdict=NOT_K_SEPARABLE if lhs > tolerance else INCONCLUSIVE,
+        tolerance=tolerance,
+    )

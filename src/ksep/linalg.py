@@ -19,19 +19,6 @@ DEFAULT_DENSITY_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce ``values`` to a 1-d complex128 array (copying)."""
-    vec = np.array(values, dtype=np.complex128)
-    if vec.ndim != 1:
-        raise DimensionError(f"expected a vector, got an array of shape {vec.shape}")
-    return vec
-
-
-def is_unit(vec: np.ndarray, tol: float = UNIT_NORM_TOL) -> bool:
-    """True when ``vec`` has Euclidean norm 1 within ``tol``."""
-    return abs(float(np.linalg.norm(vec)) - 1.0) <= tol
-
-
 def normalized(vec: np.ndarray) -> np.ndarray:
     """Return ``vec`` scaled to unit norm."""
     norm = float(np.linalg.norm(vec))

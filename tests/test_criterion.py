@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ksep import (
     CriterionReport,
     DensityMatrix,
     DimensionError,
+    GuardError,
     KPartition,
     NormalizationError,
     NumericalError,
@@ -18,7 +20,6 @@ from ksep import (
     apply_swap,
     enumerate_kpartitions,
     evaluate,
-    evaluate_parallel,
     first_term,
     ghz,
     maximally_mixed,
@@ -27,9 +28,11 @@ from ksep import (
     partition_term,
     random_density,
     random_product_pure,
+    stirling2,
     swap_sets,
     white_noise,
 )
+from ksep.criterion import _partition_plan
 from ksep.search import GHZ_PAIR, canonical_probe
 
 
@@ -221,6 +224,18 @@ def test_evaluate_k_bounds():
             evaluate(rho, probe, k=bad)
 
 
+def test_plan_guard_refuses_before_enumerating():
+    # S(12, 6) = 1 323 652 partitions is past the guard and refused at
+    # once; S(10, 5) = 42 525 is built
+    started = time.perf_counter()
+    with pytest.raises(GuardError):
+        _partition_plan(12, 6)
+    assert time.perf_counter() - started < 1.0
+    plan = _partition_plan(10, 5)
+    assert len(plan.partitions) == stirling2(10, 5) == 42525
+    assert plan.masks.shape == (42525, 15)
+
+
 def test_evaluate_dims_mismatch():
     rho = ghz(3).to_density()
     with pytest.raises(DimensionError):
@@ -292,15 +307,15 @@ def test_shared_cache_is_bit_transparent():
 
 
 def test_parallel_matches_serial_bitwise():
+    # one evaluation core serves both APIs: each term of the report is the
+    # per-partition value bit for bit
     rng = np.random.default_rng(6)
     rho = random_density((2, 2, 2, 2), rng)
     probe = _random_probe((2, 2, 2, 2), rng)
     for k in (2, 3):
-        serial = evaluate(rho, probe, k)
-        parallel = evaluate_parallel(rho, probe, k, max_workers=4)
-        assert parallel.lhs == serial.lhs
-        assert [t for _, t in parallel.partition_terms] == [
-            t for _, t in serial.partition_terms
+        report = evaluate(rho, probe, k)
+        assert [t for _, t in report.partition_terms] == [
+            partition_term(rho, probe, part) for part, _ in report.partition_terms
         ]
 
 

@@ -191,13 +191,13 @@ def test_optimize_probe_is_deterministic():
 
 
 def test_optimize_probe_thread_count_is_invisible():
+    # the result does not depend on whether the partition plan was cached
     rho = white_noise(ghz(3).to_density(), 0.9)
-    serial = optimize_probe(rho, 2, FAST, threads=1)
-    threaded = optimize_probe(rho, 2, FAST, threads=4)
-    assert serial.lhs == threaded.lhs
-    for fa, fb in zip(
-        serial.probe.u + serial.probe.v, threaded.probe.u + threaded.probe.v
-    ):
+    _partition_plan.cache_clear()
+    cold = optimize_probe(rho, 2, FAST)
+    warm = optimize_probe(rho, 2, FAST)
+    assert cold.lhs == warm.lhs
+    for fa, fb in zip(cold.probe.u + cold.probe.v, warm.probe.u + warm.probe.v):
         assert np.array_equal(fa, fb)
 
 
@@ -216,6 +216,18 @@ def test_scan_validation():
         scan_noise(ghz(2).to_density(), 2, 0.0, FAST)
     with pytest.raises(ParameterError):
         scan_noise(ghz(2).to_density(), 3, 0.1, FAST)
+
+
+def test_scan_bad_k_fails_before_any_search(monkeypatch):
+    import ksep.search as search_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("no search may run for a bad k")
+
+    monkeypatch.setattr(search_mod, "optimize_probe", no_search)
+    for bad in (0, 3):
+        with pytest.raises(ParameterError):
+            search_mod.scan_noise(ghz(2).to_density(), bad, 0.1, FAST)
 
 
 def test_scan_never_detected_reports_top():
@@ -273,7 +285,7 @@ def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
 
     probe = canonical_probe(GHZ_PAIR, (2, 2))
 
-    def fake_optimize(rho, k, cfg, tolerance=1e-9, threads=1):
+    def fake_optimize(rho, k, cfg, tolerance=1e-9):
         p = 4.0 * rho.mat[0, 0].real - 1.0  # invert the noise mixing
         hit = min(abs(p - 0.25), abs(p - 0.5)) < 1e-9
         return types.SimpleNamespace(
