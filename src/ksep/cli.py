@@ -38,6 +38,7 @@ from .search import (
 )
 from .states import (
     DensityMatrix,
+    _read_json,
     ghz,
     load_state,
     maximally_mixed,
@@ -124,48 +125,6 @@ def _load_state_arg(args) -> tuple[DensityMatrix, str]:
     return rho, f"state:{args.state}"
 
 
-def _load_probe_file(path, dims) -> ProductProbe:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "u" not in doc or "v" not in doc:
-        raise FormatError(f"{path}: probe file needs 'u' and 'v' fields")
-
-    def parse_copy(key):
-        factors = doc[key]
-        if not isinstance(factors, list) or len(factors) != len(dims):
-            raise FormatError(
-                f"{path}: field {key!r} must list one factor per site ({len(dims)} sites)"
-            )
-        out = []
-        for m, factor in enumerate(factors):
-            if not isinstance(factor, list) or len(factor) != dims[m]:
-                raise FormatError(
-                    f"{path}: {key}[{m}] must have {dims[m]} [re, im] entries"
-                )
-            vec = np.empty(dims[m], dtype=np.complex128)
-            for i, entry in enumerate(factor):
-                if (
-                    not isinstance(entry, (list, tuple))
-                    or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-                ):
-                    raise FormatError(
-                        f"{path}: {key}[{m}][{i}] must be a [re, im] pair"
-                    )
-                vec[i] = complex(float(entry[0]), float(entry[1]))
-            out.append(vec)
-        return tuple(out)
-
-    return ProductProbe(parse_copy("u"), parse_copy("v"))
-
-
 def _resolve_probe(spec: str, dims, rng: np.random.Generator) -> ProductProbe:
     if spec == GHZ_PAIR:
         return canonical_probe(GHZ_PAIR, dims)
@@ -181,7 +140,7 @@ def _resolve_probe(spec: str, dims, rng: np.random.Generator) -> ProductProbe:
             )
         return canonical_probe(BASIS_PAIR, dims, indices=(i1, i2))
     if os.path.exists(spec):
-        return _load_probe_file(spec, dims)
+        return ProductProbe.from_json_dict(_read_json(spec), dims)
     raise FormatError(
         f"probe {spec!r} is neither a known style (ghz-pair, random, basis-pair:i,j) nor a file"
     )

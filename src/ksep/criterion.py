@@ -28,21 +28,27 @@ explicit route).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, GuardError, NormalizationError, NumericalError
-from .linalg import UNIT_NORM_TOL
+from .errors import (
+    DimensionError,
+    FormatError,
+    GuardError,
+    NormalizationError,
+    NumericalError,
+)
+from .linalg import UNIT_NORM_TOL, kron_all
 from .partitions import (
     MAX_PARTITIONS,
     KPartition,
+    block_pairs,
     enumerate_kpartitions,
     stirling2,
-    swap_sets,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _pair, _parse_pair
 
 DEFAULT_TOLERANCE = 1e-9
 # diagonal expectation values this far below zero are treated as rounding
@@ -101,7 +107,7 @@ class ProductProbe:
 
     def copy_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The two full probe vectors (Kronecker chains of the factors)."""
-        return reduce(np.kron, self.u), reduce(np.kron, self.v)
+        return kron_all(self.u), kron_all(self.v)
 
     def swapped(self) -> "ProductProbe":
         """The probe with the two copies exchanged."""
@@ -110,9 +116,37 @@ class ProductProbe:
     def to_json_dict(self) -> dict:
         """Factors as ``[re, im]`` pairs, the probe file format."""
         return {
-            "u": [[[z.real, z.imag] for z in f] for f in self.u],
-            "v": [[[z.real, z.imag] for z in f] for f in self.v],
+            "u": [[_pair(z) for z in f] for f in self.u],
+            "v": [[_pair(z) for z in f] for f in self.v],
         }
+
+    @classmethod
+    def from_json_dict(cls, doc, dims) -> "ProductProbe":
+        """Parse the probe file format for a state with site dimensions ``dims``.
+
+        Raises FormatError for a document that is not one factor of
+        ``dims[m]`` ``[re, im]`` entries per site and copy, and
+        NormalizationError for a factor that is not a unit vector.
+        """
+        if not isinstance(doc, dict) or "u" not in doc or "v" not in doc:
+            raise FormatError("probe file needs 'u' and 'v' fields")
+
+        def parse_copy(key):
+            factors = doc[key]
+            if not isinstance(factors, list) or len(factors) != len(dims):
+                raise FormatError(
+                    f"field {key!r} must list one factor per site ({len(dims)} sites)"
+                )
+            out = []
+            for m, factor in enumerate(factors):
+                if not isinstance(factor, list) or len(factor) != dims[m]:
+                    raise FormatError(f"{key}[{m}] must have {dims[m]} [re, im] entries")
+                out.append(
+                    np.array([_parse_pair(e, f"{key}[{m}][{i}]") for i, e in enumerate(factor)])
+                )
+            return tuple(out)
+
+        return cls(parse_copy("u"), parse_copy("v"))
 
 
 @dataclass(frozen=True)
@@ -174,14 +208,18 @@ class _Plan(NamedTuple):
 
 def _swap_masks(partitions, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bit masks and exponents of the merged swap sets of ``partitions``."""
-    bit = [1 << (n - 1 - s) for s in range(n)]  # site 0 is the most significant bit
-    masks = np.empty((len(partitions), k * (k + 1) // 2), dtype=np.int64)
-    for row, part in enumerate(partitions):
-        sets = swap_sets(part)
-        masks[row] = [sum(map(bit.__getitem__, sites)) for _i, _j, sites, _mult in sets]
-    # swap_sets orders the block pairs, and so the multiplicities, the same
-    # way for every partition into k blocks
-    expo = np.array([mult for _i, _j, _sites, mult in sets]) * (1.0 / (2.0 * k * k))
+    # labels are below k <= n, and n < 64 for int64 masks
+    rgs = np.array([part.rgs for part in partitions], dtype=np.int8)
+    rows = np.arange(len(partitions))
+    blocks = np.zeros((len(partitions), k), dtype=np.int64)
+    for site in range(n):
+        # site 0 is the most significant bit
+        blocks[rows, rgs[:, site]] |= 1 << (n - 1 - site)
+    pairs = block_pairs(k)
+    masks = np.empty((len(partitions), len(pairs)), dtype=np.int64)
+    for col, (i, j, _mult) in enumerate(pairs):
+        np.bitwise_or(blocks[:, i], blocks[:, j], out=masks[:, col])
+    expo = np.array([mult for _i, _j, mult in pairs]) * (1.0 / (2.0 * k * k))
     return masks, expo
 
 

@@ -19,14 +19,6 @@ DEFAULT_DENSITY_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-def normalized(vec: np.ndarray) -> np.ndarray:
-    """Return ``vec`` scaled to unit norm."""
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DimensionError("cannot normalize the zero vector")
-    return vec / norm
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor most significant.
 

@@ -26,7 +26,7 @@ from .criterion import (
 from .errors import GuardError, NumericalError, ParameterError
 from .linalg import kron
 from .partitions import enumerate_kpartitions
-from .search import RANDOM, canonical_probe
+from .search import RANDOM, _basis_factors, canonical_probe
 from .states import DensityMatrix, random_density, mix, random_product_pure
 
 TWO_COPY_GUARD = 4096
@@ -232,20 +232,6 @@ class CampaignSummary:
         }
 
 
-def _basis_probe(dims, rng: np.random.Generator) -> ProductProbe:
-    u = []
-    v = []
-    for d in dims:
-        i1, i2 = rng.integers(0, d, size=2)
-        e1 = np.zeros(d, dtype=np.complex128)
-        e2 = np.zeros(d, dtype=np.complex128)
-        e1[i1] = 1.0
-        e2[i2] = 1.0
-        u.append(e1)
-        v.append(e2)
-    return ProductProbe(tuple(u), tuple(v))
-
-
 def equivalence_campaign(
     n: int,
     dmax: int,
@@ -287,7 +273,11 @@ def equivalence_campaign(
                 ]
             )
         if trial % 5 == 0:
-            probe = _basis_probe(dims, rng)
+            labels = [rng.integers(0, d, size=2) for d in dims]
+            probe = ProductProbe(
+                _basis_factors(dims, [i1 for i1, _ in labels]),
+                _basis_factors(dims, [i2 for _, i2 in labels]),
+            )
         else:
             probe = canonical_probe(RANDOM, dims, rng=rng)
         for k in range(1, n + 1):

@@ -113,8 +113,8 @@ def _generate(n: int, k: int) -> Iterator[KPartition]:
     return rec(0, 0)
 
 
-def swap_sets(partition: KPartition) -> list[tuple[int, int, SwapSet, int]]:
-    """Merged copy-swap site sets for every ordered block pair of ``partition``.
+def block_pairs(k: int) -> list[tuple[int, int, int]]:
+    """The merged block pairs of any partition into k blocks, in swap-set order.
 
     The ordered pair (i, j) exchanges the sites of block i and block j
     between the two state copies, i.e. it acts on the union of the two
@@ -122,17 +122,21 @@ def swap_sets(partition: KPartition) -> list[tuple[int, int, SwapSet, int]]:
     act on the same union, so they are merged and carry multiplicity 2;
     diagonal pairs carry multiplicity 1.  Multiplicities sum to k^2.
 
-    Returns a list of (i, j, sites, multiplicity) with i <= j, diagonal
-    entries first.
+    Returns a list of (i, j, multiplicity) with i <= j, diagonal entries
+    first.
+    """
+    return [(i, i, 1) for i in range(k)] + [
+        (i, j, 2) for i in range(k) for j in range(i + 1, k)
+    ]
+
+
+def swap_sets(partition: KPartition) -> list[tuple[int, int, SwapSet, int]]:
+    """Merged copy-swap site sets for every block pair of ``partition``.
+
+    Returns a list of (i, j, sites, multiplicity) in ``block_pairs`` order.
     """
     blocks = [frozenset(block) for block in partition.blocks()]
-    out: list[tuple[int, int, SwapSet, int]] = [
-        (i, i, blocks[i], 1) for i in range(partition.k)
-    ]
-    for i in range(partition.k):
-        for j in range(i + 1, partition.k):
-            out.append((i, j, blocks[i] | blocks[j], 2))
-    return out
+    return [(i, j, blocks[i] | blocks[j], mult) for i, j, mult in block_pairs(partition.k)]
 
 
 def stirling2(n: int, k: int) -> int:

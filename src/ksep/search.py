@@ -9,7 +9,7 @@ outcome never proves separability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,13 +20,17 @@ from .criterion import (
     CriterionReport,
     ProductProbe,
 )
-from .errors import ParameterError
-from .states import DensityMatrix, white_noise
+from .errors import GuardError, ParameterError
+from .states import DensityMatrix, _checked_dims, _random_unit_factors, white_noise
 
 GHZ_PAIR = "ghz-pair"
 BASIS_PAIR = "basis-pair"
 RANDOM = "random"
 PROBE_STYLES = (GHZ_PAIR, BASIS_PAIR, RANDOM)
+
+# most noise levels a dense fallback sweep may search, one full probe search
+# each; the CLI default resolution 1e-3 needs 1 001
+MAX_DENSE_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,7 @@ class SearchConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "step_init": self.step_init,
-            "step_decay": self.step_decay,
-            "seed": self.seed,
-            "convergence_eps": self.convergence_eps,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,13 @@ class NoiseScanResult:
             "probe_at_threshold": self.probe_at_threshold.to_json_dict(),
         }
         if include_trace:
-            out["trace"] = [
-                {"phase": e.phase, "p": e.p, "lhs": e.lhs, "detected": e.detected}
-                for e in self.trace
-            ]
+            out["trace"] = [asdict(e) for e in self.trace]
         return out
+
+
+def _basis_factors(dims, labels) -> tuple[np.ndarray, ...]:
+    """The computational basis vector |labels[m]> at each site m."""
+    return tuple(np.eye(d, dtype=np.complex128)[i] for d, i in zip(dims, labels))
 
 
 def canonical_probe(
@@ -137,46 +136,25 @@ def canonical_probe(
     ``basis-pair``: as above with the two basis labels from ``indices``.
     ``random``: sitewise random unit factors drawn from ``rng``.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims) or not dims:
-        raise ParameterError(f"invalid dims {dims}")
+    dims = _checked_dims(dims)
     if style == GHZ_PAIR:
-        u = []
-        v = []
-        for d in dims:
-            e1 = np.zeros(d, dtype=np.complex128)
-            e2 = np.zeros(d, dtype=np.complex128)
-            e1[0] = 1.0
-            e2[d - 1] = 1.0
-            u.append(e1)
-            v.append(e2)
-        return ProductProbe(tuple(u), tuple(v))
+        return ProductProbe(
+            _basis_factors(dims, [0] * len(dims)), _basis_factors(dims, [d - 1 for d in dims])
+        )
     if style == BASIS_PAIR:
         i1, i2 = indices
-        u = []
-        v = []
         for d in dims:
             if not (0 <= i1 < d and 0 <= i2 < d):
                 raise ParameterError(
                     f"basis indices {indices} out of range for site dimension {d}"
                 )
-            e1 = np.zeros(d, dtype=np.complex128)
-            e2 = np.zeros(d, dtype=np.complex128)
-            e1[i1] = 1.0
-            e2[i2] = 1.0
-            u.append(e1)
-            v.append(e2)
-        return ProductProbe(tuple(u), tuple(v))
+        return ProductProbe(
+            _basis_factors(dims, [i1] * len(dims)), _basis_factors(dims, [i2] * len(dims))
+        )
     if style == RANDOM:
         if rng is None:
             raise ParameterError("style 'random' needs a generator")
-        def factors():
-            out = []
-            for d in dims:
-                raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                out.append(raw / np.linalg.norm(raw))
-            return tuple(out)
-        return ProductProbe(factors(), factors())
+        return ProductProbe(_random_unit_factors(dims, rng), _random_unit_factors(dims, rng))
     raise ParameterError(f"unknown probe style {style!r}, expected one of {PROBE_STYLES}")
 
 
@@ -276,7 +254,8 @@ def scan_noise(
     A 17-point coarse grid classifies each p by running the probe search;
     if detection is monotone in p the boundary is bisected down to
     ``resolution``, otherwise the scan falls back to a dense sweep of
-    spacing ``resolution`` and reports the first detected point.
+    spacing ``resolution`` and reports the first detected point.  A sweep
+    of more than MAX_DENSE_POINTS levels raises GuardError before it starts.
     """
     if not resolution > 0.0:
         raise ParameterError(f"resolution must be positive, got {resolution}")
@@ -318,6 +297,11 @@ def scan_noise(
     if not monotone:
         # detection flickers on the coarse grid; sweep densely instead
         steps = math.ceil(1.0 / resolution)
+        if steps + 1 > MAX_DENSE_POINTS:
+            raise GuardError(
+                f"dense sweep at resolution {resolution} needs {steps + 1} searches, "
+                f"more than the guard {MAX_DENSE_POINTS}"
+            )
         dense = [min(i * resolution, 1.0) for i in range(steps + 1)]
         if dense[-1] != 1.0:
             dense.append(1.0)

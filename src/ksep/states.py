@@ -257,14 +257,18 @@ def random_pure(dims, rng: np.random.Generator) -> PureState:
     return PureState(dims, raw / np.linalg.norm(raw))
 
 
-def random_product_pure(dims, rng: np.random.Generator) -> PureState:
-    """Sitewise random unit vectors, combined into a product state."""
-    dims = _checked_dims(dims)
+def _random_unit_factors(dims, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One normalized standard complex Gaussian vector per site, in site order."""
     factors = []
     for d in dims:
         raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         factors.append(raw / np.linalg.norm(raw))
-    return product_pure(factors)
+    return tuple(factors)
+
+
+def random_product_pure(dims, rng: np.random.Generator) -> PureState:
+    """Sitewise random unit vectors, combined into a product state."""
+    return product_pure(_random_unit_factors(_checked_dims(dims), rng))
 
 
 def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
@@ -311,6 +315,19 @@ def _parse_pair(entry, where: str) -> complex:
     return complex(float(entry[0]), float(entry[1]))
 
 
+def _read_json(path):
+    """The decoded JSON document in ``path``; FormatError if unreadable or invalid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
     """Read a state file, validate it and return the density matrix.
 
@@ -318,15 +335,7 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
     StateValidationError (carrying diagnostics) when the parsed matrix is
     not a density matrix within ``tol``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     dims_field = doc.get("dims")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ from ksep import (
     CriterionReport,
     DensityMatrix,
     DimensionError,
+    FormatError,
     GuardError,
     KPartition,
     NormalizationError,
@@ -90,6 +92,41 @@ def test_probe_factors_are_readonly():
     assert probe.u[0][0] == 1.0
     with pytest.raises((ValueError, RuntimeError)):
         probe.u[0][0] = 0.0
+
+
+def test_probe_json_round_trip_is_bit_exact():
+    rng = np.random.default_rng(23)
+    for dims in ((2, 2, 2), (3, 3)):
+        probe = _random_probe(dims, rng)
+        doc = probe.to_json_dict()
+        for parsed in (doc, json.loads(json.dumps(doc))):
+            back = ProductProbe.from_json_dict(parsed, probe.dims)
+            for a, b in zip(probe.u + probe.v, back.u + back.v):
+                assert a.tobytes() == b.tobytes()
+
+
+def _probe_doc(**fields):
+    e0, e1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+    doc = {"u": [e0, e0], "v": [e1, e1]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ([[1.0, 0.0]], FormatError),  # not an object
+        ({"u": _probe_doc()["u"]}, FormatError),  # missing v
+        (_probe_doc(v=[[[0.0, 0.0], [1.0, 0.0]]]), FormatError),  # one factor for two sites
+        (_probe_doc(u=[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 2), FormatError),  # length 3
+        (_probe_doc(u=[[[1.0, 0.0], [0.0]]] * 2), FormatError),  # not a pair
+        (_probe_doc(u=[[[True, 0.0], [0.0, 0.0]]] * 2), FormatError),  # bool entry
+        (_probe_doc(u=[[[2.0, 0.0], [0.0, 0.0]]] * 2), NormalizationError),
+    ],
+)
+def test_probe_json_rejects_malformed_documents(doc, error):
+    with pytest.raises(error):
+        ProductProbe.from_json_dict(doc, (2, 2))
 
 
 # --- swap bookkeeping ----------------------------------------------------------
@@ -234,6 +271,25 @@ def test_plan_guard_refuses_before_enumerating():
     plan = _partition_plan(10, 5)
     assert len(plan.partitions) == stirling2(10, 5) == 42525
     assert plan.masks.shape == (42525, 15)
+
+
+def test_plan_masks_match_swap_sets_route():
+    # referee: masks and exponents built from one swap_sets frozenset per
+    # partition, site 0 the most significant bit
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            plan = _partition_plan(n, k)
+            rows = [swap_sets(part) for part in plan.partitions]
+            masks = np.array(
+                [[sum(1 << (n - 1 - s) for s in sites) for _i, _j, sites, _m in row] for row in rows],
+                dtype=np.int64,
+            )
+            for row in rows:
+                expo = np.array([mult for _i, _j, _sites, mult in row]) * (1.0 / (2.0 * k * k))
+                assert np.array_equal(plan.expo, expo)
+            assert plan.masks.dtype == np.int64
+            assert plan.masks.shape == (stirling2(n, k), k * (k + 1) // 2)
+            assert np.array_equal(plan.masks, masks)
 
 
 def test_evaluate_dims_mismatch():

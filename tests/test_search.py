@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ksep import (
+    GuardError,
     ParameterError,
     ProductProbe,
     evaluate,
@@ -276,17 +277,20 @@ def test_scan_detected_at_zero_noise():
     assert result.evaluations == 17
 
 
-def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
-    # force detection flicker on the coarse grid: detected only in two
-    # islands, so bisection is unsound and the dense sweep must take over
-    import types
+def _flicker_optimize(calls: list):
+    """Fake optimize_probe on noisy GHZ_2 that records each p it searches.
 
-    import ksep.search as search_mod
+    Detection holds only in two islands, p = 0.25 and p = 0.5, so it
+    flickers on the coarse grid: bisection is unsound and the dense sweep
+    must take over.
+    """
+    import types
 
     probe = canonical_probe(GHZ_PAIR, (2, 2))
 
     def fake_optimize(rho, k, cfg, tolerance=1e-9):
         p = 4.0 * rho.mat[0, 0].real - 1.0  # invert the noise mixing
+        calls.append(p)
         hit = min(abs(p - 0.25), abs(p - 0.5)) < 1e-9
         return types.SimpleNamespace(
             verdict="not_k_separable" if hit else "inconclusive",
@@ -294,7 +298,13 @@ def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
             probe=probe,
         )
 
-    monkeypatch.setattr(search_mod, "optimize_probe", fake_optimize)
+    return fake_optimize
+
+
+def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
+    import ksep.search as search_mod
+
+    monkeypatch.setattr(search_mod, "optimize_probe", _flicker_optimize([]))
     result = search_mod.scan_noise(ghz(2).to_density(), 2, 0.1, FAST)
     assert result.grid_fallback
     # 0.25 is not on the dense 0.1 grid, so 0.5 is the first dense hit
@@ -303,6 +313,22 @@ def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
     dense = [e for e in result.trace if e.phase == "dense"]
     assert [e.p for e in dense] == pytest.approx([0.1 * i for i in range(6)])
     assert result.evaluations == 17 + 6
+
+
+def test_scan_dense_sweep_guard_refuses_before_searching(monkeypatch):
+    import ksep.search as search_mod
+
+    calls = []
+    monkeypatch.setattr(search_mod, "optimize_probe", _flicker_optimize(calls))
+    # 10^6 + 1 dense points: refused after the 17 grid searches, before any dense one
+    with pytest.raises(GuardError):
+        search_mod.scan_noise(ghz(2).to_density(), 2, 1e-6, FAST)
+    assert len(calls) == 17
+    # the CLI default resolution still sweeps
+    calls.clear()
+    result = search_mod.scan_noise(ghz(2).to_density(), 2, 1e-3, FAST)
+    assert result.grid_fallback and result.p_star == pytest.approx(0.25)
+    assert len(calls) == 17 + 251
 
 
 def test_scan_trace_records_every_noise_level():
