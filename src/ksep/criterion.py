@@ -21,6 +21,9 @@ contraction: rho, reshaped to one ket and one bra axis per site, is
 contracted site by site against the stacked pair [u_m; v_m], a D^2 pass
 that never builds a probe vector.  A partition term then only gathers
 W[s] * W[complement of s] by integer masks from a plan cached per (n, k).
+The core evaluates a stack of R probes at once, each with the floats it
+would get alone: the probe search climbs all its restarts through it, and
+``evaluate`` is its batch of one.
 The two-copy operators are never materialized here (see ``oracle`` for the
 explicit route).
 """
@@ -59,6 +62,10 @@ INCONCLUSIVE = "inconclusive"
 
 # cache key of the (first term, weights) pair of one (rho, probe)
 _WEIGHTS = "weights"
+
+# copies (0 = u, 1 = v) in the bras and kets of the forms <u|.|u>, <v|.|v>, <u|.|v>
+_BRA_ROWS = np.array([0, 1, 0])
+_KET_ROWS = np.array([0, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -249,31 +256,74 @@ def _swap_set_keys(n: int) -> tuple[frozenset, ...]:
     )
 
 
-def _weights(rho_mat, u, v, cache=None) -> tuple[float, np.ndarray]:
-    """First term |<phi1|rho|phi2>| and the 2^n swapped diagonal weights.
+@lru_cache(maxsize=64)
+def _groups(dims: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The sites of each distinct site dimension d, in site order."""
+    groups: dict[int, list[int]] = {}
+    for m, d in enumerate(dims):
+        groups.setdefault(d, []).append(m)
+    return {d: tuple(sites) for d, sites in groups.items()}
 
-    W[a] = <x_a| rho |x_a> with x_a as in the module docstring; tiny negative
-    rounding is clamped to 0.  With a ``cache``, the pair is reused from it
-    and every swap set's (<x1|rho|x1>, <x2|rho|x2>) is stored under its site
-    set, so the complement holds the same floats in exchanged roles.
+
+@lru_cache(maxsize=64)
+def _slots(dims: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Site m -> (d_m, position of m among the sites of dimension d_m)."""
+    return tuple((d, _groups(dims)[d].index(m)) for m, d in enumerate(dims))
+
+
+def _stack(probes, dims) -> dict[int, np.ndarray]:
+    """The factors of R probes as one (R, 2, n_d, d) array per site dimension d.
+
+    Row 0 holds copy u, row 1 copy v, and the n_d sites of dimension d follow
+    in site order (``_groups``).  Mixed dims are not zero-padded into one
+    array: padding changes the bits of a factor's norm.
     """
-    if cache is not None and _WEIGHTS in cache:
-        return cache[_WEIGHTS]
-    n = len(u)
-    dims = tuple(f.shape[0] for f in u)
-    # ket and bra axes of each site side by side: (i0, j0, i1, j1, ...)
+    return {
+        d: np.array([[[p.u[m] for m in sites], [p.v[m] for m in sites]] for p in probes])
+        for d, sites in _groups(dims).items()
+    }
+
+
+def _probe_at(factors: dict[int, np.ndarray], dims, r: int) -> ProductProbe:
+    """Probe r of a stack made by ``_stack``."""
+    slots = _slots(dims)
+    return ProductProbe(
+        tuple(factors[d][r, 0, j] for d, j in slots),
+        tuple(factors[d][r, 1, j] for d, j in slots),
+    )
+
+
+def _weights(rho_mat, dims, factors) -> tuple[np.ndarray, np.ndarray]:
+    """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of R probes.
+
+    ``factors`` is a stack of R probes on sites of dimensions ``dims`` (see
+    ``_stack``); the result is (R,) first terms and (R, 2^n) weights,
+    W[r, a] = <x_a| rho |x_a> with x_a as in the module docstring.  Every
+    probe goes through the same matrix products as a batch of one, so its
+    floats do not depend on the batch around it.  Tiny negative rounding is
+    clamped to 0; a weight below DIAG_CLAMP in any row raises.
+    """
+    n = len(dims)
+    count = len(next(iter(factors.values())))
+    # per site dimension d, the rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>
+    # of every site, flattened over (ket, bra): (R, n_d, 3, d^2)
+    forms = {}
+    for d, f in factors.items():
+        f = f.transpose(0, 2, 1, 3)
+        bras = f.take(_BRA_ROWS, axis=2).conj()
+        kets = f.take(_KET_ROWS, axis=2)
+        forms[d] = (bras[..., :, None] * kets[..., None, :]).reshape(*f.shape[:2], 3, d * d)
+    # ket and bra axes of each site side by side: (i0, j0, i1, j1, ...), with
+    # a batch axis of one that the products broadcast against the R probes
     interleaved = [ax for m in range(n) for ax in (m, n + m)]
-    w = first = np.ascontiguousarray(rho_mat.reshape(dims + dims).transpose(interleaved))
-    for m in reversed(range(n)):
-        # rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>, flattened over (ket, bra)
-        bras = np.array((u[m], v[m], u[m])).conj()
-        kets = np.array((u[m], v[m], v[m]))
-        forms = (bras[:, :, None] * kets[:, None, :]).reshape(3, -1)
+    w = first = np.ascontiguousarray(rho_mat.reshape(dims + dims).transpose(interleaved))[None]
+    for d, j in reversed(_slots(dims)):
+        site = forms[d][:, j]
         # contract the trailing site; its label axis goes in front, so site 0
         # ends up the most significant bit
-        w = forms[:2] @ w.reshape(-1, forms.shape[1]).T
-        first = first.reshape(-1, forms.shape[1]) @ forms[2]
-    weights = w.reshape(-1).real.copy()
+        w = site[:, :2] @ w.reshape(len(w), -1, d * d).transpose(0, 2, 1)
+        first = first.reshape(len(first), -1, d * d) @ site[:, 2, :, None]
+    weights = w.reshape(count, -1).real.copy()
     low = float(weights.min())
     if low < DIAG_CLAMP:
         raise NumericalError(
@@ -281,39 +331,49 @@ def _weights(rho_mat, u, v, cache=None) -> tuple[float, np.ndarray]:
             f"rounding allows ({DIAG_CLAMP}); the state is not positive semidefinite"
         )
     weights[weights < 0.0] = 0.0
-    result = (abs(complex(first[0])), weights)
+    # hypot is the modulus abs() takes of a complex number, to the last bit
+    first = first.reshape(count)
+    return np.hypot(first.real, first.imag), weights
+
+
+def _probe_weights(rho: DensityMatrix, probe: ProductProbe, cache=None):
+    """``_weights`` of one probe, as a batch of one.
+
+    With a ``cache``, the pair is reused from it, and every swap set's
+    (<x1|rho|x1>, <x2|rho|x2>) is stored under its site set, so the
+    complement holds the same floats in exchanged roles.
+    """
+    if cache is not None and _WEIGHTS in cache:
+        return cache[_WEIGHTS]
+    result = _weights(rho.mat, rho.dims, _stack([probe], rho.dims))
     if cache is not None:
         cache[_WEIGHTS] = result
-        listed = weights.tolist()
-        cache.update(zip(_swap_set_keys(n), zip(listed, reversed(listed))))
+        listed = result[1][0].tolist()
+        cache.update(zip(_swap_set_keys(rho.site_count), zip(listed, reversed(listed))))
     return result
 
 
 def _terms(weights: np.ndarray, masks: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """Partition terms: products over each row of swap-set factors.
+    """Partition terms of R probes: products over each plan row of swap-set factors.
 
-    The root is applied factor by factor, which is algebraically identical
-    to rooting the full product but immune to underflow for large k.  A
-    zero weight makes its factor 0 ** expo == 0 and so the whole term 0.
+    ``weights`` is (R, 2^n); the result is (R, P).  The root is applied
+    factor by factor, which is algebraically identical to rooting the full
+    product but immune to underflow for large k.  A zero weight makes its
+    factor 0 ** expo == 0 and so the whole term 0.
     """
     # x2 of a swap set is x1 of its complement, whose label is the reversed index
-    pairs = weights * weights[::-1]
-    return np.prod(pairs[masks] ** expo, axis=1)
+    pairs = weights * weights[:, ::-1]
+    return (pairs.take(masks, axis=1) ** expo).prod(axis=-1)
 
 
-def _first_and_terms(rho_mat, u, v, plan: _Plan, cache=None) -> tuple[float, np.ndarray]:
-    """The evaluation core shared by evaluate and the probe search."""
-    first, weights = _weights(rho_mat, u, v, cache)
-    return first, _terms(weights, plan.masks, plan.expo)
+def _reduce_lhs(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """lhs of each probe: its first term minus the sum of its row of terms.
 
-
-def _reduce_lhs(first: float, terms: np.ndarray) -> float:
-    # summation order is the enumeration order, left to right; keep it
-    # fixed so that the lhs is reproducible from the listed terms
-    total = 0.0
-    for t in terms.tolist():
-        total += t
-    return first - total
+    The sum runs in enumeration order, left to right (a cumulative sum,
+    not numpy's pairwise ``sum``), so that the lhs is reproducible from the
+    listed terms.
+    """
+    return first - terms.cumsum(axis=-1)[:, -1]
 
 
 def _check_compatible(rho: DensityMatrix, probe: ProductProbe) -> None:
@@ -326,7 +386,7 @@ def _check_compatible(rho: DensityMatrix, probe: ProductProbe) -> None:
 def first_term(rho: DensityMatrix, probe: ProductProbe) -> float:
     """|<phi1| rho |phi2>|, the square root of the total-permutation term."""
     _check_compatible(rho, probe)
-    return _weights(rho.mat, probe.u, probe.v)[0]
+    return float(_probe_weights(rho, probe)[0][0])
 
 
 def partition_term(
@@ -346,9 +406,9 @@ def partition_term(
         raise DimensionError(
             f"partition covers {partition.n} sites, state has {rho.site_count}"
         )
-    _, weights = _weights(rho.mat, probe.u, probe.v, cache)
+    _, weights = _probe_weights(rho, probe, cache)
     masks, expo = _swap_masks((partition,), partition.n, partition.k)
-    return float(_terms(weights, masks, expo)[0])
+    return float(_terms(weights, masks, expo)[0, 0])
 
 
 def evaluate(
@@ -367,13 +427,14 @@ def evaluate(
     """
     _check_compatible(rho, probe)
     plan = _partition_plan(rho.site_count, k)
-    first, terms = _first_and_terms(rho.mat, probe.u, probe.v, plan, cache)
-    lhs = _reduce_lhs(first, terms)
+    first, weights = _probe_weights(rho, probe, cache)
+    terms = _terms(weights, plan.masks, plan.expo)
+    lhs = float(_reduce_lhs(first, terms)[0])
     return CriterionReport(
         k=k,
         lhs=lhs,
-        first_term=first,
-        partition_terms=tuple(zip(plan.partitions, terms.tolist())),
+        first_term=float(first[0]),
+        partition_terms=tuple(zip(plan.partitions, terms[0].tolist())),
         probe=probe,
         verdict=NOT_K_SEPARABLE if lhs > tolerance else INCONCLUSIVE,
         tolerance=tolerance,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,13 +33,24 @@ PROBE_STYLES = (GHZ_PAIR, BASIS_PAIR, RANDOM)
 # each; the CLI default resolution 1e-3 needs 1 001
 MAX_DENSE_POINTS = 10_001
 
+# most complex entries the restarts climbing in lockstep may hold in their
+# largest array, R * 2 * D^2 / d^2 in the evaluation core (or the normals of
+# their kicks, if larger): 2^20 entries, 16 MiB, the size of one 10-qubit
+# density matrix.  Restarts past it climb in further batches, with the same
+# results.
+MAX_BATCH_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Hill-climbing budget and seeding.
 
     Every random draw derives from ``seed``; restart r owns the substream
-    seeded with ``seed ^ r``, so runs are reproducible.
+    seeded with ``seed ^ r``, so runs are reproducible.  (These substreams
+    overlap across seeds: seed 2 restart 1 is seed 3 restart 0.)  All
+    restarts advance in lockstep, one batched evaluation per iteration, and
+    each restart reaches exactly the floats it would reach climbing alone,
+    so results do not depend on how the restarts are split into batches.
     """
 
     restarts: int = 32
@@ -158,47 +170,103 @@ def canonical_probe(
     raise ParameterError(f"unknown probe style {style!r}, expected one of {PROBE_STYLES}")
 
 
-def _perturbed(factors, step: float, rng: np.random.Generator):
-    """Gaussian kick of scale ``step`` on every factor, renormalized sitewise."""
-    out = []
-    for f in factors:
-        g = rng.standard_normal((2, f.shape[0]))
-        cand = f + step * (g[0] + 1j * g[1])
-        norm = float(np.linalg.norm(cand))
-        out.append(f if norm == 0.0 else cand / norm)
+@lru_cache(maxsize=64)
+def _kick_index(dims: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Where the kick of every factor sits in one iteration's normal draws.
+
+    One iteration draws a (2, d_m) block (real parts, then imaginary parts)
+    per site, every site of copy u before those of copy v.  Per site
+    dimension d the result holds the (2, n_d, 2, d) positions of that
+    dimension's blocks, in the order of ``criterion._stack``.
+    """
+    # where site m's block starts within a copy, and where each copy starts
+    offsets = 2 * np.cumsum((0,) + dims[:-1])
+    copy = np.arange(2)[:, None, None, None] * 2 * sum(dims)
+    index = {}
+    for d, sites in criterion._groups(dims).items():
+        part = np.arange(2)[None, None, :, None] * d
+        index[d] = copy + offsets[list(sites)][None, :, None, None] + part + np.arange(d)
+    return index
+
+
+def _steps(cfg: SearchConfig) -> list[float]:
+    """The kick scale of each iteration: step_init * step_decay^i while it
+    stays at or above convergence_eps, at most max_iters of them."""
+    steps = []
+    step = cfg.step_init
+    while len(steps) < cfg.max_iters and not step < cfg.convergence_eps:
+        steps.append(step)
+        step *= cfg.step_decay
+    return steps
+
+
+def _kicks(rngs, iters: int, dims) -> np.ndarray:
+    """The normals of every restart's kicks, (R, iters, 4 * sum(dims)).
+
+    Restart r draws all of its kicks in one call on its own generator
+    ``rngs[r]``; that is the stream of one (2, d) draw per factor per
+    iteration, copy u first.
+    """
+    width = 4 * sum(dims)
+    draws = [rng.standard_normal(iters * width) for rng in rngs]
+    return np.array(draws).reshape(len(rngs), iters, width)
+
+
+def _perturbed(factors: dict[int, np.ndarray], step: float, draws: np.ndarray, dims):
+    """Every factor kicked by ``step`` times complex normals, renormalized factor by factor.
+
+    ``draws`` holds one iteration's (R, 4 * sum(dims)) normals (see
+    ``_kicks``).  The norm is sqrt(re.re + im.im) with both dot products
+    taken by ``np.vecdot``, the same floats as ``np.linalg.norm`` of one
+    factor.  A factor whose kicked vector is exactly zero stays where it was.
+    """
+    out = {}
+    for d, index in _kick_index(dims).items():
+        f = factors[d]
+        g = draws[:, index]
+        cand = f + step * (g[..., 0, :] + 1j * g[..., 1, :])
+        norm = np.sqrt(np.vecdot(cand.real, cand.real) + np.vecdot(cand.imag, cand.imag))
+        zero = norm == 0.0
+        if zero.any():
+            cand[zero] = f[zero]
+            norm[zero] = 1.0
+        out[d] = cand / norm[..., None]
     return out
 
 
-def _climb(rho_mat, plan, u0, v0, rng, cfg: SearchConfig, history: list | None = None):
-    """One hill-climbing restart; returns (best lhs, factors of the best probe).
+def _climb(rho_mat, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
+    """Hill-climb R restarts in lockstep; returns (best lhs per restart, factors).
 
-    Every candidate goes through the evaluation core of ``criterion.evaluate``,
-    so the best value equals the lhs of the report on the returned factors.
-    The kick scale decays geometrically each iteration whether or not the
-    candidate was accepted, and the best value never decreases.
+    Restart r starts from ``starts[r]`` and draws its kicks from ``rngs[r]``.
+    The kick scale decays geometrically each iteration whether or not a
+    candidate was accepted, so every restart runs the same iterations, and
+    one iteration is one kick of all R probes, one call of the evaluation
+    core of ``criterion.evaluate`` on the R candidates and one accept mask.
+    Each restart therefore gets the floats it would get alone, and its best
+    value equals the lhs of the report on its factors.  ``factors`` is the
+    ``criterion._stack`` of the best probes; the best values never decrease.
     """
-    u = list(u0)
-    v = list(v0)
-    first, terms = criterion._first_and_terms(rho_mat, u, v, plan)
-    best = criterion._reduce_lhs(first, terms)
+    dims = starts[0].dims
+
+    def lhs(factors):
+        first, weights = criterion._weights(rho_mat, dims, factors)
+        return criterion._reduce_lhs(first, criterion._terms(weights, plan.masks, plan.expo))
+
+    steps = _steps(cfg)
+    kicks = _kicks(rngs, len(steps), dims)
+    factors = criterion._stack(starts, dims)
+    best = lhs(factors)
     if history is not None:
         history.append(best)
-    step = cfg.step_init
-    for _ in range(cfg.max_iters):
-        if step < cfg.convergence_eps:
-            break
-        cand_u = _perturbed(u, step, rng)
-        cand_v = _perturbed(v, step, rng)
-        first, terms = criterion._first_and_terms(rho_mat, cand_u, cand_v, plan)
-        value = criterion._reduce_lhs(first, terms)
-        if value > best:
-            best = value
-            u = cand_u
-            v = cand_v
+    for i, step in enumerate(steps):
+        cand = _perturbed(factors, step, kicks[:, i], dims)
+        value = lhs(cand)
+        better = value > best
+        best = np.where(better, value, best)
+        factors = {d: np.where(better[:, None, None, None], cand[d], f) for d, f in factors.items()}
         if history is not None:
             history.append(best)
-        step *= cfg.step_decay
-    return best, u, v
+    return best, factors
 
 
 def _start_probe(restart: int, dims, rng: np.random.Generator) -> ProductProbe:
@@ -221,25 +289,32 @@ def optimize_probe(
     Runs ``cfg.restarts`` independent hill climbs (restart 0 from the
     ghz-pair probe, restart 1 from the all-|0> basis pair, the rest from
     random probes) and reports the evaluation of the best probe found,
-    ties resolved toward the lowest restart index.  Raises ParameterError
-    for k outside 1..n and GuardError past the partition guard.
+    ties resolved toward the lowest restart index.  The restarts climb in
+    lockstep, in batches whose largest array stays within
+    MAX_BATCH_ENTRIES complex entries; restart r keeps its own generator
+    ``default_rng(cfg.seed ^ r)``, so the result does not depend on the
+    batching.  Raises ParameterError for k outside 1..n and GuardError past
+    the partition guard.
     """
     plan = criterion._partition_plan(rho.site_count, k)
     dims = rho.dims
+    # per restart: the largest product of the evaluation core, and the
+    # normals of the kicks (two of them fill one complex entry)
+    entries = max(2 * rho.mat.size // dims[-1] ** 2, 2 * cfg.max_iters * sum(dims))
+    chunk = max(1, MAX_BATCH_ENTRIES // entries)
 
-    def run(restart: int):
-        rng = np.random.default_rng(cfg.seed ^ restart)
-        probe0 = _start_probe(restart, dims, rng)
-        return _climb(rho.mat, plan, probe0.u, probe0.v, rng, cfg)
-
-    results = [run(r) for r in range(cfg.restarts)]
-
-    best_value, best_u, best_v = results[0]
-    for value, u, v in results[1:]:
-        if value > best_value:
-            best_value, best_u, best_v = value, u, v
-    probe = ProductProbe(tuple(best_u), tuple(best_v))
-    return criterion.evaluate(rho, probe, k, tolerance)
+    best = None
+    for lo in range(0, cfg.restarts, chunk):
+        restarts = range(lo, min(lo + chunk, cfg.restarts))
+        rngs = [np.random.default_rng(cfg.seed ^ r) for r in restarts]
+        starts = [_start_probe(r, dims, rng) for r, rng in zip(restarts, rngs)]
+        values, factors = _climb(rho.mat, plan, starts, rngs, cfg)
+        for i, value in enumerate(values.tolist()):
+            # the first strictly greater value wins; a NaN never does
+            if best is None or value > best[0]:
+                best = (value, factors, i)
+    _, factors, i = best
+    return criterion.evaluate(rho, criterion._probe_at(factors, dims, i), k, tolerance)
 
 
 def scan_noise(

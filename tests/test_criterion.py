@@ -325,14 +325,16 @@ def test_report_json_schema():
 
 
 def test_report_lhs_consistency():
-    rng = np.random.default_rng(3)
-    rho = random_density((2, 2, 2), rng)
-    probe = _random_probe((2, 2, 2), rng)
-    report = evaluate(rho, probe, k=2)
-    total = 0.0
-    for _, t in report.partition_terms:
-        total += t
-    assert report.lhs == report.first_term - total  # same reduction order
+    # at n=6, k=3 (90 terms) numpy's pairwise sum differs from the left-to-right loop
+    for seed, dims, k in ((3, (2, 2, 2), 2), (8, (2,) * 6, 3)):
+        rng = np.random.default_rng(seed)
+        rho = random_density(dims, rng)
+        probe = _random_probe(dims, rng)
+        report = evaluate(rho, probe, k=k)
+        total = 0.0
+        for _, t in report.partition_terms:
+            total += t
+        assert report.lhs == report.first_term - total  # same reduction order
 
 
 # --- cache semantics ------------------------------------------------------------

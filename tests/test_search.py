@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from ksep import (
     evaluate,
     ghz,
     maximally_mixed,
+    random_density,
     w_state,
     white_noise,
 )
-from ksep.criterion import _partition_plan
+from ksep import search
+from ksep.criterion import _partition_plan, _probe_at, _slots, _stack
 from ksep.search import (
     BASIS_PAIR,
     GHZ_PAIR,
@@ -24,6 +27,7 @@ from ksep.search import (
     ScanEvaluation,
     SearchConfig,
     _climb,
+    _kicks,
     _perturbed,
     canonical_probe,
     optimize_probe,
@@ -111,21 +115,29 @@ def test_unknown_style_and_bad_dims():
 # --- climbing internals ---------------------------------------------------------------
 
 
+def _per_site(factors, dims):
+    """Per site the (R, 2, d) factors of a probe stack."""
+    return [factors[d][:, :, j] for d, j in _slots(dims)]
+
+
 def test_perturbed_keeps_unit_norm():
     rng = np.random.default_rng(4)
-    factors = canonical_probe(GHZ_PAIR, (2, 3, 4)).u
+    dims = (2, 3, 4)
+    factors = _stack([canonical_probe(GHZ_PAIR, dims)], dims)
     for step in (1e-6, 0.3, 10.0):
-        out = _perturbed(factors, step, rng)
+        out = _per_site(_perturbed(factors, step, _kicks([rng], 1, dims)[:, 0], dims), dims)
         assert len(out) == 3
-        for f in out:
-            assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+        for site in out:
+            for f in site.reshape(-1, site.shape[-1]):
+                assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perturbed_zero_step_is_identity():
     rng = np.random.default_rng(5)
-    factors = canonical_probe(GHZ_PAIR, (2, 2)).u
-    out = _perturbed(factors, 0.0, rng)
-    for a, b in zip(out, factors):
+    dims = (2, 2)
+    factors = _stack([canonical_probe(GHZ_PAIR, dims)], dims)
+    out = _perturbed(factors, 0.0, _kicks([rng], 1, dims)[:, 0], dims)
+    for a, b in zip(_per_site(out, dims), _per_site(factors, dims)):
         np.testing.assert_allclose(a, b, atol=0)
 
 
@@ -136,11 +148,13 @@ def test_climb_history_never_decreases():
     probe = canonical_probe(RANDOM, (2, 2, 2), rng=rng)
     history: list = []
     cfg = SearchConfig(restarts=1, max_iters=80, seed=1)
-    best, u, v = _climb(rho.mat, plan, probe.u, probe.v, rng, cfg, history=history)
+    best, factors = _climb(rho.mat, plan, [probe], [rng], cfg, history=history)
+    history = [h[0] for h in history]
+    best = best[0]
     assert history[-1] == best
     assert all(b >= a for a, b in zip(history, history[1:]))
     # the returned factors reproduce the reported value
-    report = evaluate(rho, ProductProbe(tuple(u), tuple(v)), 2)
+    report = evaluate(rho, _probe_at(factors, (2, 2, 2), 0), 2)
     assert report.lhs == best
 
 
@@ -152,10 +166,99 @@ def test_climb_stops_when_step_collapses():
     history: list = []
     # step_init 1e-4 decays below eps 1e-5 after ~76 iterations
     cfg = SearchConfig(max_iters=10_000, step_init=1e-4, convergence_eps=1e-5, seed=1)
-    _climb(rho.mat, plan, probe.u, probe.v, rng, cfg, history=history)
+    _climb(rho.mat, plan, [probe], [rng], cfg, history=history)
     spent = len(history) - 1
     expected = math.ceil(math.log(1e-5 / 1e-4) / math.log(cfg.step_decay))
     assert spent == expected
+
+
+# --- referee: the serial climb that the lockstep climb replaced ---------------------
+
+
+def _serial_perturbed(factors, step, rng):
+    out = []
+    for f in factors:
+        g = rng.standard_normal((2, f.shape[0]))
+        cand = f + step * (g[0] + 1j * g[1])
+        norm = float(np.linalg.norm(cand))
+        out.append(f if norm == 0.0 else cand / norm)
+    return out
+
+
+def _serial_climb(rho, k, u0, v0, rng, cfg):
+    u = list(u0)
+    v = list(v0)
+    best = evaluate(rho, ProductProbe(tuple(u), tuple(v)), k).lhs
+    step = cfg.step_init
+    for _ in range(cfg.max_iters):
+        if step < cfg.convergence_eps:
+            break
+        cand_u = _serial_perturbed(u, step, rng)
+        cand_v = _serial_perturbed(v, step, rng)
+        value = evaluate(rho, ProductProbe(tuple(cand_u), tuple(cand_v)), k).lhs
+        if value > best:
+            best = value
+            u = cand_u
+            v = cand_v
+        step *= cfg.step_decay
+    return best, u, v
+
+
+def _serial_restarts(rho, k, cfg):
+    """(best lhs, u, v) of each restart climbed alone, one after the other."""
+    results = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed ^ r)
+        if r == 0:
+            probe = canonical_probe(GHZ_PAIR, rho.dims)
+        elif r == 1:
+            probe = canonical_probe(BASIS_PAIR, rho.dims, indices=(0, 0))
+        else:
+            probe = canonical_probe(RANDOM, rho.dims, rng=rng)
+        results.append(_serial_climb(rho, k, probe.u, probe.v, rng, cfg))
+    return results
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2, 2), (2, 2, 2), (2, 2, 2, 2), (2,) * 5, (3, 3, 3), (4, 4), (2, 3, 2), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_lockstep_climb_matches_serial_route(dims, monkeypatch):
+    rho = random_density(dims, np.random.default_rng(len(dims) + sum(dims)))
+    # the default cap, then one restart per batch
+    caps = (search.MAX_BATCH_ENTRIES, 1)
+    for k in range(1, len(dims) + 1):
+        for seed in (0, 3, 10):
+            serial = _serial_restarts(rho, k, SearchConfig(restarts=5, max_iters=12, seed=seed))
+            for restarts in (1, 2, 3, 5):
+                # first strictly greater value over the first `restarts` climbs
+                value, u, v = serial[0]
+                for cand in serial[1:restarts]:
+                    if cand[0] > value:
+                        value, u, v = cand
+                cfg = SearchConfig(restarts=restarts, max_iters=12, seed=seed)
+                for cap in caps:
+                    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", cap)
+                    report = optimize_probe(rho, k, cfg)
+                    case = (dims, k, seed, restarts, cap)
+                    assert report.lhs == value, case
+                    for got, want in zip(report.probe.u + report.probe.v, u + v):
+                        assert got.tobytes() == want.tobytes(), case
+
+
+def test_lockstep_restarts_stay_within_memory_cap():
+    # unbatched, 32 restarts on a 10-qubit state would hold 32 x 2 x 4^9
+    # complex entries (256 MiB) in the evaluation core at once
+    rho = white_noise(ghz(10).to_density(), 0.8)
+    _partition_plan(10, 2)
+    tracemalloc.start()
+    try:
+        optimize_probe(rho, 2, SearchConfig(restarts=32, max_iters=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 # --- probe search -------------------------------------------------------------------
