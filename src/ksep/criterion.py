@@ -17,9 +17,10 @@ Every swapped vector x1_s is a product x_a whose site m carries v_m when
 bit m of the label a is set and u_m otherwise (site 0 is the most
 significant bit), and x2_s is x1 of the complement.  So all 2^n diagonal
 weights W[a] = <x_a| rho |x_a> and the first term come out of one
-contraction: rho, reshaped to one ket and one bra axis per site, is
-contracted site by site against the stacked pair [u_m; v_m], a D^2 pass
-that never builds a probe vector.  A partition term then only gathers
+contraction: rho, with one ket and one bra axis per site side by side (the
+state's cached ``interleaved`` copy, built once per state), is contracted
+site by site against the stacked pair [u_m; v_m], a D^2 pass that never
+builds a probe vector.  A partition term then only gathers
 W[s] * W[complement of s] by integer masks from a plan cached per (n, k).
 The core evaluates a stack of R probes at once, each with the floats it
 would get alone: the probe search climbs all its restarts through it, and
@@ -293,17 +294,17 @@ def _probe_at(factors: dict[int, np.ndarray], dims, r: int) -> ProductProbe:
     )
 
 
-def _weights(rho_mat, dims, factors) -> tuple[np.ndarray, np.ndarray]:
+def _weights(rho: DensityMatrix, factors) -> tuple[np.ndarray, np.ndarray]:
     """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of R probes.
 
-    ``factors`` is a stack of R probes on sites of dimensions ``dims`` (see
+    ``factors`` is a stack of R probes on the sites of ``rho`` (see
     ``_stack``); the result is (R,) first terms and (R, 2^n) weights,
-    W[r, a] = <x_a| rho |x_a> with x_a as in the module docstring.  Every
+    W[r, a] = <x_a| rho |x_a> with x_a as in the module docstring.  The
+    contraction starts from ``rho.interleaved``, so no call copies rho.  Every
     probe goes through the same matrix products as a batch of one, so its
     floats do not depend on the batch around it.  Tiny negative rounding is
     clamped to 0; a weight below DIAG_CLAMP in any row raises.
     """
-    n = len(dims)
     count = len(next(iter(factors.values())))
     # per site dimension d, the rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>
     # of every site, flattened over (ket, bra): (R, n_d, 3, d^2)
@@ -313,11 +314,9 @@ def _weights(rho_mat, dims, factors) -> tuple[np.ndarray, np.ndarray]:
         bras = f.take(_BRA_ROWS, axis=2).conj()
         kets = f.take(_KET_ROWS, axis=2)
         forms[d] = (bras[..., :, None] * kets[..., None, :]).reshape(*f.shape[:2], 3, d * d)
-    # ket and bra axes of each site side by side: (i0, j0, i1, j1, ...), with
     # a batch axis of one that the products broadcast against the R probes
-    interleaved = [ax for m in range(n) for ax in (m, n + m)]
-    w = first = np.ascontiguousarray(rho_mat.reshape(dims + dims).transpose(interleaved))[None]
-    for d, j in reversed(_slots(dims)):
+    w = first = rho.interleaved[None]
+    for d, j in reversed(_slots(rho.dims)):
         site = forms[d][:, j]
         # contract the trailing site; its label axis goes in front, so site 0
         # ends up the most significant bit
@@ -345,7 +344,7 @@ def _probe_weights(rho: DensityMatrix, probe: ProductProbe, cache=None):
     """
     if cache is not None and _WEIGHTS in cache:
         return cache[_WEIGHTS]
-    result = _weights(rho.mat, rho.dims, _stack([probe], rho.dims))
+    result = _weights(rho, _stack([probe], rho.dims))
     if cache is not None:
         cache[_WEIGHTS] = result
         listed = result[1][0].tolist()

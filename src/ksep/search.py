@@ -234,7 +234,7 @@ def _perturbed(factors: dict[int, np.ndarray], step: float, draws: np.ndarray, d
     return out
 
 
-def _climb(rho_mat, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
+def _climb(rho: DensityMatrix, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
     """Hill-climb R restarts in lockstep; returns (best lhs per restart, factors).
 
     Restart r starts from ``starts[r]`` and draws its kicks from ``rngs[r]``.
@@ -249,7 +249,7 @@ def _climb(rho_mat, plan, starts, rngs, cfg: SearchConfig, history: list | None 
     dims = starts[0].dims
 
     def lhs(factors):
-        first, weights = criterion._weights(rho_mat, dims, factors)
+        first, weights = criterion._weights(rho, factors)
         return criterion._reduce_lhs(first, criterion._terms(weights, plan.masks, plan.expo))
 
     steps = _steps(cfg)
@@ -308,7 +308,7 @@ def optimize_probe(
         restarts = range(lo, min(lo + chunk, cfg.restarts))
         rngs = [np.random.default_rng(cfg.seed ^ r) for r in restarts]
         starts = [_start_probe(r, dims, rng) for r, rng in zip(restarts, rngs)]
-        values, factors = _climb(rho.mat, plan, starts, rngs, cfg)
+        values, factors = _climb(rho, plan, starts, rngs, cfg)
         for i, value in enumerate(values.tolist()):
             # the first strictly greater value wins; a NaN never does
             if best is None or value > best[0]:

@@ -11,6 +11,7 @@ import json
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,14 @@ class DensityMatrix:
     Construction checks shapes and finiteness only; the hermiticity, trace
     and positivity invariants are verified on demand via ``diagnostics`` or
     ``validate`` because the eigensolve is costly for large systems.
+
+    The first evaluation of a state builds ``interleaved``, a read-only
+    copy of ``mat`` in the site-by-site layout of the evaluation core, and
+    keeps it for the state's lifetime, so that no evaluation copies
+    ``mat``: one more D x D complex array per evaluated state (16 MiB at
+    10 qubits).
+    It is not a field, so equality, ``repr`` and ``dataclasses.replace``
+    do not see it; a replaced state builds its own.
     """
 
     dims: tuple[int, ...]
@@ -75,6 +84,16 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def interleaved(self) -> np.ndarray:
+        """``mat`` with the ket and bra axes of each site side by side:
+        shape (d0, d0, d1, d1, ...), axes (i0, j0, i1, j1, ...), contiguous."""
+        n = self.site_count
+        axes = [ax for m in range(n) for ax in (m, n + m)]
+        out = np.ascontiguousarray(self.mat.reshape(self.dims + self.dims).transpose(axes))
+        out.setflags(write=False)
+        return out
 
     def diagnostics(self, tol: float = DEFAULT_DENSITY_TOL) -> DensityDiagnostics:
         return check_density(self.mat, tol)

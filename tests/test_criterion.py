@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +377,67 @@ def test_parallel_matches_serial_bitwise():
         assert [t for _, t in report.partition_terms] == [
             partition_term(rho, probe, part) for part, _ in report.partition_terms
         ]
+
+
+# --- cached interleaved layout ---------------------------------------------------
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _report_bytes(report):
+    return _bits(report.lhs, report.first_term, *(t for _, t in report.partition_terms))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,), (2, 2, 2), (2,) * 6, (3, 3, 3), (4, 4), (2, 3, 2), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_interleaved_copy_is_per_state_and_bit_transparent(dims):
+    # referee for the layout the evaluation core starts from: it must be the
+    # state's own matrix, and a warm state must evaluate like a fresh one
+    rng = np.random.default_rng(sum(dims) * 31 + len(dims))
+    rho = random_density(dims, rng)
+    other = random_density(dims, rng)
+    n = len(dims)
+    axes = [ax for m in range(n) for ax in (m, n + m)]
+    for state in (rho, other):
+        want = np.ascontiguousarray(state.mat.reshape(dims + dims).transpose(axes))
+        got = state.interleaved
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        assert state.interleaved is got
+    probe = _random_probe(dims, rng)
+    for k in range(1, n + 1):
+        warm = evaluate(rho, probe, k)
+        fresh = evaluate(DensityMatrix(rho.dims, rho.mat), probe, k)
+        assert _report_bytes(warm) == _report_bytes(fresh)
+        for part, _ in warm.partition_terms:
+            again = partition_term(DensityMatrix(rho.dims, rho.mat), probe, part)
+            assert _bits(partition_term(rho, probe, part)) == _bits(again)
+    fresh_first = first_term(DensityMatrix(rho.dims, rho.mat), probe)
+    assert _bits(first_term(rho, probe)) == _bits(fresh_first)
+    # a replaced state builds its own copy instead of keeping rho's
+    replaced = dataclasses.replace(rho, mat=other.mat)
+    for k in range(1, n + 1):
+        assert _report_bytes(evaluate(replaced, probe, k)) == _report_bytes(evaluate(other, probe, k))
+
+
+def test_warm_evaluate_does_not_copy_the_state():
+    # a copy of rho per call would add one rho.mat.nbytes to the peak (1.75x)
+    rho = white_noise(ghz(9).to_density(), 0.8)
+    probe = canonical_probe(GHZ_PAIR, rho.dims)
+    evaluate(rho, probe, 2)
+    tracemalloc.start()
+    try:
+        evaluate(rho, probe, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * rho.mat.nbytes
 
 
 # --- criterion properties ---------------------------------------------------------

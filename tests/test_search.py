@@ -148,7 +148,7 @@ def test_climb_history_never_decreases():
     probe = canonical_probe(RANDOM, (2, 2, 2), rng=rng)
     history: list = []
     cfg = SearchConfig(restarts=1, max_iters=80, seed=1)
-    best, factors = _climb(rho.mat, plan, [probe], [rng], cfg, history=history)
+    best, factors = _climb(rho, plan, [probe], [rng], cfg, history=history)
     history = [h[0] for h in history]
     best = best[0]
     assert history[-1] == best
@@ -166,7 +166,7 @@ def test_climb_stops_when_step_collapses():
     history: list = []
     # step_init 1e-4 decays below eps 1e-5 after ~76 iterations
     cfg = SearchConfig(max_iters=10_000, step_init=1e-4, convergence_eps=1e-5, seed=1)
-    _climb(rho.mat, plan, [probe], [rng], cfg, history=history)
+    _climb(rho, plan, [probe], [rng], cfg, history=history)
     spent = len(history) - 1
     expected = math.ceil(math.log(1e-5 / 1e-4) / math.log(cfg.step_decay))
     assert spent == expected
