@@ -49,7 +49,6 @@ from .criterion import (
     NOT_K_SEPARABLE,
     CriterionReport,
     ProductProbe,
-    apply_swap,
     evaluate,
     first_term,
     partition_term,
@@ -115,7 +114,6 @@ __all__ = [
     "CriterionReport",
     "NOT_K_SEPARABLE",
     "INCONCLUSIVE",
-    "apply_swap",
     "first_term",
     "partition_term",
     "evaluate",

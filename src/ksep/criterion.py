@@ -22,9 +22,11 @@ state's cached ``interleaved`` copy, built once per state), is contracted
 site by site against the stacked pair [u_m; v_m], a D^2 pass that never
 builds a probe vector.  A partition term then only gathers
 W[s] * W[complement of s] by integer masks from a plan cached per (n, k).
-The core evaluates a stack of R probes at once, each with the floats it
-would get alone: the probe search climbs all its restarts through it, and
-``evaluate`` is its batch of one.
+The core evaluates a stack of R probes on each of S states at once, each
+probe with the floats it would get alone: the probe search climbs all its
+restarts, on every noise level of a scan's grid, through it,
+``evaluate_batch`` scores many probes on one state, and ``evaluate`` is its
+batch of one.
 The two-copy operators are never materialized here (see ``oracle`` for the
 explicit route).
 """
@@ -43,6 +45,7 @@ from .errors import (
     GuardError,
     NormalizationError,
     NumericalError,
+    ParameterError,
 )
 from .linalg import UNIT_NORM_TOL, kron_all
 from .partitions import (
@@ -191,19 +194,6 @@ class CriterionReport:
         }
 
 
-def apply_swap(probe: ProductProbe, sites) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Factor lists of the probe after exchanging the copies on ``sites``.
-
-    Returns (x1, x2) with x1[m] = v[m] on swapped sites and u[m] elsewhere,
-    x2[m] the other way around.  Pure index bookkeeping, no arithmetic.
-    """
-    sites = frozenset(sites)
-    u, v = probe.u, probe.v
-    x1 = [v[m] if m in sites else u[m] for m in range(len(u))]
-    x2 = [u[m] if m in sites else v[m] for m in range(len(u))]
-    return x1, x2
-
-
 class _Plan(NamedTuple):
     """Partitions of n sites into k blocks in enumeration order, with their
     merged swap sets as site bit masks (one row per partition, one column
@@ -294,34 +284,53 @@ def _probe_at(factors: dict[int, np.ndarray], dims, r: int) -> ProductProbe:
     )
 
 
-def _weights(rho: DensityMatrix, factors) -> tuple[np.ndarray, np.ndarray]:
-    """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of R probes.
+def _interleaved(states) -> np.ndarray:
+    """The core's input for S states of equal dims: their ``interleaved``
+    copies stacked on a leading axis, a view of the cached copy for S = 1."""
+    if len(states) == 1:
+        return states[0].interleaved[None]
+    return np.stack([rho.interleaved for rho in states])
 
-    ``factors`` is a stack of R probes on the sites of ``rho`` (see
-    ``_stack``); the result is (R,) first terms and (R, 2^n) weights,
-    W[r, a] = <x_a| rho |x_a> with x_a as in the module docstring.  The
-    contraction starts from ``rho.interleaved``, so no call copies rho.  Every
-    probe goes through the same matrix products as a batch of one, so its
-    floats do not depend on the batch around it.  Tiny negative rounding is
-    clamped to 0; a weight below DIAG_CLAMP in any row raises.
+
+def _weights(inter: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of probes.
+
+    ``inter`` is the (S, d0, d0, d1, d1, ...) stack of S states made by
+    ``_interleaved`` and ``factors`` a stack of S * R probes (see
+    ``_stack``), state-major: rows s*R .. s*R + R-1 are read against state
+    s.  The result is (S * R,) first terms and (S * R, 2^n) weights,
+    W[row, a] = <x_a| rho |x_a> with x_a as in the module docstring.  No call
+    copies a state.  Every probe goes through the same matrix products as a
+    batch of one, so its floats do not depend on the batch around it.  Tiny
+    negative rounding is clamped to 0; a weight below DIAG_CLAMP in any row
+    raises.
     """
     count = len(next(iter(factors.values())))
+    levels = len(inter)
     # per site dimension d, the rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>
-    # of every site, flattened over (ket, bra): (R, n_d, 3, d^2)
+    # of every site, flattened over (ket, bra): (S * R, n_d, 3, d^2)
     forms = {}
     for d, f in factors.items():
         f = f.transpose(0, 2, 1, 3)
         bras = f.take(_BRA_ROWS, axis=2).conj()
         kets = f.take(_KET_ROWS, axis=2)
         forms[d] = (bras[..., :, None] * kets[..., None, :]).reshape(*f.shape[:2], 3, d * d)
-    # a batch axis of one that the products broadcast against the R probes
-    w = first = rho.interleaved[None]
-    for d, j in reversed(_slots(rho.dims)):
+    (d, j), *rest = reversed(_slots(inter.shape[1::2]))
+    # the last site first; one state broadcasts against all R probes, S
+    # states on a (state, probe) batch shape against their own R each
+    site = forms[d][:, j]
+    rho = inter.reshape(levels, -1, d * d)
+    if levels > 1:
+        site = site.reshape(levels, -1, 3, d * d)
+        rho = rho[:, None]
+    w = site[..., :2, :] @ rho.swapaxes(-1, -2)
+    first = rho @ site[..., 2, :, None]
+    for d, j in rest:
         site = forms[d][:, j]
         # contract the trailing site; its label axis goes in front, so site 0
         # ends up the most significant bit
-        w = site[:, :2] @ w.reshape(len(w), -1, d * d).transpose(0, 2, 1)
-        first = first.reshape(len(first), -1, d * d) @ site[:, 2, :, None]
+        w = site[:, :2] @ w.reshape(count, -1, d * d).transpose(0, 2, 1)
+        first = first.reshape(count, -1, d * d) @ site[:, 2, :, None]
     weights = w.reshape(count, -1).real.copy()
     low = float(weights.min())
     if low < DIAG_CLAMP:
@@ -344,7 +353,7 @@ def _probe_weights(rho: DensityMatrix, probe: ProductProbe, cache=None):
     """
     if cache is not None and _WEIGHTS in cache:
         return cache[_WEIGHTS]
-    result = _weights(rho, _stack([probe], rho.dims))
+    result = _weights(_interleaved([rho]), _stack([probe], rho.dims))
     if cache is not None:
         cache[_WEIGHTS] = result
         listed = result[1][0].tolist()
@@ -438,3 +447,27 @@ def evaluate(
         verdict=NOT_K_SEPARABLE if lhs > tolerance else INCONCLUSIVE,
         tolerance=tolerance,
     )
+
+
+def evaluate_batch(rho: DensityMatrix, probes, ks) -> np.ndarray:
+    """The lhs of many probes on one state, at one or more k.
+
+    Returns a (len(ks), len(probes)) array whose entry [i, r] equals
+    ``evaluate(rho, probes[r], ks[i]).lhs`` bit for bit.  All probes go
+    through one call of the evaluation core, whose largest array holds
+    2 * len(probes) * D^2 / d^2 complex entries (D the state dimension, d
+    the last site's); split a batch that would not fit in memory.  Raises
+    ParameterError for no probes or a k outside 1..n, and GuardError past
+    the partition guard, before any evaluation.
+    """
+    probes = list(probes)
+    if not probes:
+        raise ParameterError("evaluate_batch needs at least one probe")
+    for probe in probes:
+        _check_compatible(rho, probe)
+    plans = [_partition_plan(rho.site_count, k) for k in ks]
+    first, weights = _weights(_interleaved([rho]), _stack(probes, rho.dims))
+    out = np.empty((len(plans), len(probes)))
+    for row, plan in zip(out, plans):
+        row[:] = _reduce_lhs(first, _terms(weights, plan.masks, plan.expo))
+    return out

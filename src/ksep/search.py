@@ -8,6 +8,7 @@ outcome never proves separability.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -37,7 +38,9 @@ MAX_DENSE_POINTS = 10_001
 # largest array, R * 2 * D^2 / d^2 in the evaluation core (or the normals of
 # their kicks, if larger): 2^20 entries, 16 MiB, the size of one 10-qubit
 # density matrix.  Restarts past it climb in further batches, with the same
-# results.
+# results.  A scan's grid levels share a batch only while all their restarts
+# and 3 * D^2 entries per level (its matrix, interleaved copy and slot in the
+# stacked core input) fit.
 MAX_BATCH_ENTRIES = 1 << 20
 
 
@@ -51,6 +54,9 @@ class SearchConfig:
     restarts advance in lockstep, one batched evaluation per iteration, and
     each restart reaches exactly the floats it would reach climbing alone,
     so results do not depend on how the restarts are split into batches.
+    A noise scan climbs its grid levels together the same way: every level
+    uses this one seed, so its starts and kicks are shared, and each level
+    gets the bits of its own search.
     """
 
     restarts: int = 32
@@ -234,27 +240,35 @@ def _perturbed(factors: dict[int, np.ndarray], step: float, draws: np.ndarray, d
     return out
 
 
-def _climb(rho: DensityMatrix, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
-    """Hill-climb R restarts in lockstep; returns (best lhs per restart, factors).
+def _climb(rho, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
+    """Hill-climb R restarts in lockstep on S states; returns (best lhs per row, factors).
 
-    Restart r starts from ``starts[r]`` and draws its kicks from ``rngs[r]``.
-    The kick scale decays geometrically each iteration whether or not a
-    candidate was accepted, so every restart runs the same iterations, and
-    one iteration is one kick of all R probes, one call of the evaluation
-    core of ``criterion.evaluate`` on the R candidates and one accept mask.
-    Each restart therefore gets the floats it would get alone, and its best
-    value equals the lhs of the report on its factors.  ``factors`` is the
-    ``criterion._stack`` of the best probes; the best values never decrease.
+    ``rho`` is one state or a list of S states of the same dims.  Every
+    state gets R rows, state-major: row s*R + r is restart r on state s, which
+    starts from ``starts[r]`` and takes the kicks drawn from ``rngs[r]``,
+    the same on every state.  The kick scale decays geometrically each
+    iteration whether or not a candidate was accepted, so every row runs the
+    same iterations, and one iteration is one kick of all S * R probes, one
+    call of the evaluation core of ``criterion.evaluate`` on the candidates
+    and one accept mask.  Each row therefore gets the floats it would get
+    alone, and its best value equals the lhs of the report on its factors.
+    ``factors`` is the ``criterion._stack`` of the best probes; the best
+    values never decrease.
     """
+    states = [rho] if isinstance(rho, DensityMatrix) else rho
+    inter = criterion._interleaved(states)
     dims = starts[0].dims
 
     def lhs(factors):
-        first, weights = criterion._weights(rho, factors)
+        first, weights = criterion._weights(inter, factors)
         return criterion._reduce_lhs(first, criterion._terms(weights, plan.masks, plan.expo))
 
     steps = _steps(cfg)
-    kicks = _kicks(rngs, len(steps), dims)
-    factors = criterion._stack(starts, dims)
+    # drawn once, then the same starts and kicks for every state
+    kicks = np.tile(_kicks(rngs, len(steps), dims), (len(states), 1, 1))
+    factors = {
+        d: np.tile(f, (len(states), 1, 1, 1)) for d, f in criterion._stack(starts, dims).items()
+    }
     best = lhs(factors)
     if history is not None:
         history.append(best)
@@ -278,6 +292,51 @@ def _start_probe(restart: int, dims, rng: np.random.Generator) -> ProductProbe:
     return canonical_probe(RANDOM, dims, rng=rng)
 
 
+def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) -> list[CriterionReport]:
+    """The report of ``optimize_probe`` on every state of ``states``, in order.
+
+    ``states`` is an iterable of states with site dimensions ``dims``, one
+    per level.  Every level runs the same seeded search, so the levels share their
+    starts and kicks: they are drawn once per batch and climbed in lockstep,
+    one core call per iteration for the whole batch.  A batch holds whole
+    levels only while all their restarts plus each level's matrix,
+    interleaved copy and slot in the stacked core input fit within
+    MAX_BATCH_ENTRIES complex entries; otherwise it is one level, whose
+    restarts climb in batches under the same cap.  ``states`` is read one
+    batch at a time, so a generator builds each state only when its batch
+    starts, and a batch's states are released before the next is built.
+    Each report is the one ``optimize_probe`` gives on that state alone.
+    """
+    plan = criterion._partition_plan(len(dims), k)
+    size = math.prod(dims) ** 2
+    # per restart: the largest product of the evaluation core, and the
+    # normals of the kicks (two of them fill one complex entry)
+    entries = max(2 * size // dims[-1] ** 2, 2 * cfg.max_iters * sum(dims))
+    chunk = max(1, MAX_BATCH_ENTRIES // entries)
+    per_batch = max(1, MAX_BATCH_ENTRIES // (cfg.restarts * entries + 3 * size))
+
+    reports = []
+    levels = iter(states)
+    while batch := list(itertools.islice(levels, per_batch)):
+        best = [None] * len(batch)
+        for lo in range(0, cfg.restarts, chunk):
+            restarts = range(lo, min(lo + chunk, cfg.restarts))
+            rngs = [np.random.default_rng(cfg.seed ^ r) for r in restarts]
+            starts = [_start_probe(r, dims, rng) for r, rng in zip(restarts, rngs)]
+            values, factors = _climb(batch, plan, starts, rngs, cfg)
+            for row, value in enumerate(values.tolist()):
+                s = row // len(restarts)
+                # the first strictly greater value wins; a NaN never does
+                if best[s] is None or value > best[s][0]:
+                    best[s] = (value, factors, row)
+        for rho, (_, factors, row) in zip(batch, best):
+            probe = criterion._probe_at(factors, dims, row)
+            reports.append(criterion.evaluate(rho, probe, k, tolerance))
+        # release this batch's states before the next batch builds its own
+        del batch, rho
+    return reports
+
+
 def optimize_probe(
     rho: DensityMatrix,
     k: int,
@@ -296,25 +355,7 @@ def optimize_probe(
     batching.  Raises ParameterError for k outside 1..n and GuardError past
     the partition guard.
     """
-    plan = criterion._partition_plan(rho.site_count, k)
-    dims = rho.dims
-    # per restart: the largest product of the evaluation core, and the
-    # normals of the kicks (two of them fill one complex entry)
-    entries = max(2 * rho.mat.size // dims[-1] ** 2, 2 * cfg.max_iters * sum(dims))
-    chunk = max(1, MAX_BATCH_ENTRIES // entries)
-
-    best = None
-    for lo in range(0, cfg.restarts, chunk):
-        restarts = range(lo, min(lo + chunk, cfg.restarts))
-        rngs = [np.random.default_rng(cfg.seed ^ r) for r in restarts]
-        starts = [_start_probe(r, dims, rng) for r, rng in zip(restarts, rngs)]
-        values, factors = _climb(rho, plan, starts, rngs, cfg)
-        for i, value in enumerate(values.tolist()):
-            # the first strictly greater value wins; a NaN never does
-            if best is None or value > best[0]:
-                best = (value, factors, i)
-    _, factors, i = best
-    return criterion.evaluate(rho, criterion._probe_at(factors, dims, i), k, tolerance)
+    return _search_levels(rho.dims, [rho], k, cfg, tolerance)[0]
 
 
 def scan_noise(
@@ -331,6 +372,11 @@ def scan_noise(
     ``resolution``, otherwise the scan falls back to a dense sweep of
     spacing ``resolution`` and reports the first detected point.  A sweep
     of more than MAX_DENSE_POINTS levels raises GuardError before it starts.
+    The grid levels climb together in lockstep batches (``_search_levels``,
+    as many whole levels per batch as MAX_BATCH_ENTRIES allows, each noisy
+    state built when its batch starts); every level gets the bits its own
+    ``optimize_probe`` would.  Bisection and the dense sweep search one
+    level at a time.
     """
     if not resolution > 0.0:
         raise ParameterError(f"resolution must be positive, got {resolution}")
@@ -339,11 +385,14 @@ def scan_noise(
 
     trace: list[ScanEvaluation] = []
 
-    def run(p: float, phase: str):
-        report = optimize_probe(white_noise(target, p), k, cfg, tolerance)
+    def record(p: float, phase: str, report) -> bool:
         detected = report.verdict == NOT_K_SEPARABLE
         trace.append(ScanEvaluation(phase=phase, p=p, lhs=report.lhs, detected=detected))
-        return report, detected
+        return detected
+
+    def run(p: float, phase: str):
+        report = optimize_probe(white_noise(target, p), k, cfg, tolerance)
+        return report, record(p, phase, report)
 
     def result(p_star, bracket, fallback, probe):
         return NoiseScanResult(
@@ -356,12 +405,9 @@ def scan_noise(
         )
 
     grid = [i / 16 for i in range(17)]
-    flags = []
-    reports = []
-    for p in grid:
-        report, detected = run(p, "grid")
-        flags.append(detected)
-        reports.append(report)
+    noisy = (white_noise(target, p) for p in grid)
+    reports = _search_levels(target.dims, noisy, k, cfg, tolerance)
+    flags = [record(p, "grid", report) for p, report in zip(grid, reports)]
 
     if not any(flags):
         # undetectable even without noise

@@ -30,6 +30,7 @@ from ksep import (
     swap_sets,
     white_noise,
 )
+from ksep.criterion import evaluate_batch
 from ksep.oracle import equivalence_campaign
 from ksep.search import GHZ_PAIR, SearchConfig, canonical_probe, optimize_probe, scan_noise
 
@@ -49,6 +50,19 @@ def _random_probe(dims, rng) -> ProductProbe:
         return tuple(out)
 
     return ProductProbe(factors(), factors())
+
+
+def _random_probes(dims, count, rng) -> list[ProductProbe]:
+    """``count`` calls of ``_random_probe`` on sites of one dimension, from
+    one draw: the same normals in the same order, and the same factor bits
+    (the norm is the sqrt(re.re + im.im) of ``np.linalg.norm``)."""
+    assert len(set(dims)) == 1
+    n, d = len(dims), dims[0]
+    g = rng.standard_normal(count * 2 * n * 2 * d).reshape(count, 2, n, 2, d)
+    raw = g[..., 0, :] + 1j * g[..., 1, :]
+    norm = np.sqrt(np.vecdot(raw.real, raw.real) + np.vecdot(raw.imag, raw.imag))
+    factors = raw / norm[..., None]
+    return [ProductProbe(tuple(f[0]), tuple(f[1])) for f in factors]
 
 
 def _basis_probe(dims, rng) -> ProductProbe:
@@ -110,12 +124,12 @@ def test_criterion_02_soundness_on_separable_states():
         n = 3 if case % 2 == 0 else 4
         rho = _separable_mixture(n, 20, rng)
         ks = range(2, n + 1)
-        for _ in range(1000):
-            probe = _random_probe(rho.dims, rng)
-            cache: dict = {}
-            for k in ks:
-                worst = max(worst, evaluate(rho, probe, k, cache=cache).lhs)
-                evaluations += 1
+        # one batched core call per state; every entry equals the lhs of its
+        # own evaluate call bit for bit
+        probes = _random_probes(rho.dims, 1000, rng)
+        lhs = evaluate_batch(rho, probes, ks)
+        worst = max([worst, *lhs.ravel().tolist()])
+        evaluations += lhs.size
         cfg = SearchConfig(restarts=3, max_iters=50, seed=cfg_seed + case)
         for k in ks:
             worst = max(worst, optimize_probe(rho, k, cfg).lhs)

@@ -21,7 +21,6 @@ from ksep import (
     NumericalError,
     ParameterError,
     ProductProbe,
-    apply_swap,
     enumerate_kpartitions,
     evaluate,
     first_term,
@@ -36,7 +35,7 @@ from ksep import (
     swap_sets,
     white_noise,
 )
-from ksep.criterion import _partition_plan
+from ksep.criterion import _interleaved, _partition_plan, _stack, _weights, evaluate_batch
 from ksep.search import GHZ_PAIR, canonical_probe
 
 
@@ -131,34 +130,6 @@ def test_probe_json_rejects_malformed_documents(doc, error):
         ProductProbe.from_json_dict(doc, (2, 2))
 
 
-# --- swap bookkeeping ----------------------------------------------------------
-
-
-def test_apply_swap_explicit():
-    u = (_basis(2, 0), _basis(2, 0), _basis(2, 0))
-    v = (_basis(2, 1), _basis(2, 1), _basis(2, 1))
-    probe = ProductProbe(u, v)
-    x1, x2 = apply_swap(probe, {1})
-    # swapped site takes the other copy's factor
-    assert np.array_equal(x1[0], u[0])
-    assert np.array_equal(x1[1], v[1])
-    assert np.array_equal(x1[2], u[2])
-    assert np.array_equal(x2[0], v[0])
-    assert np.array_equal(x2[1], u[1])
-    assert np.array_equal(x2[2], v[2])
-
-
-def test_apply_swap_empty_and_full():
-    rng = np.random.default_rng(0)
-    probe = _random_probe((2, 3), rng)
-    x1, x2 = apply_swap(probe, set())
-    assert all(np.array_equal(a, b) for a, b in zip(x1, probe.u))
-    assert all(np.array_equal(a, b) for a, b in zip(x2, probe.v))
-    y1, y2 = apply_swap(probe, {0, 1})
-    assert all(np.array_equal(a, b) for a, b in zip(y1, probe.v))
-    assert all(np.array_equal(a, b) for a, b in zip(y2, probe.u))
-
-
 # --- first and partition terms --------------------------------------------------
 
 
@@ -206,7 +177,10 @@ def test_partition_term_matches_naive_double_product():
             naive = 1.0
             for i in range(k):
                 for j in range(k):
-                    x1, x2 = apply_swap(probe, set(blocks[i]) | set(blocks[j]))
+                    sites = set(blocks[i]) | set(blocks[j])
+                    # the swapped sites take the other copy's factor
+                    x1 = [probe.v[m] if m in sites else probe.u[m] for m in range(3)]
+                    x2 = [probe.u[m] if m in sites else probe.v[m] for m in range(3)]
                     f1 = np.array([1.0 + 0j])
                     f2 = np.array([1.0 + 0j])
                     for a, b in zip(x1, x2):
@@ -438,6 +412,62 @@ def test_warm_evaluate_does_not_copy_the_state():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * rho.mat.nbytes
+
+
+# --- batched evaluation ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,), (2, 2, 2), (2, 2, 2, 2), (2,) * 5, (3, 3), (2, 3, 2), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_evaluate_batch_matches_per_probe_evaluate(dims):
+    # referee for the batch entry point: every entry is the lhs that
+    # evaluate gives on its own probe, bit for bit, whatever the batch
+    rng = np.random.default_rng(sum(dims) * 17 + len(dims))
+    rho = random_density(dims, rng)
+    probes = [_random_probe(dims, rng) for _ in range(9)]
+    probes.append(canonical_probe(GHZ_PAIR, dims))
+    ks = list(range(1, len(dims) + 1))
+    batch = evaluate_batch(rho, probes, ks)
+    assert batch.shape == (len(ks), len(probes)) and batch.dtype == np.float64
+    cache: dict = {}
+    for i, k in enumerate(ks):
+        want = [evaluate(rho, probe, k).lhs for probe in probes]
+        assert _bits(*batch[i]) == _bits(*want)
+        assert _bits(*evaluate_batch(rho, probes[3:5], [k])[0]) == _bits(*want[3:5])
+        assert _bits(evaluate(rho, probes[0], k, cache=cache).lhs) == _bits(batch[i, 0])
+
+
+def test_evaluate_batch_rejects_bad_input_before_evaluating():
+    rho = ghz(3).to_density()
+    probe = canonical_probe(GHZ_PAIR, rho.dims)
+    with pytest.raises(ParameterError):
+        evaluate_batch(rho, [], [2])
+    with pytest.raises(DimensionError):
+        evaluate_batch(rho, [probe, canonical_probe(GHZ_PAIR, (2, 2))], [2])
+    with pytest.raises(ParameterError):
+        evaluate_batch(rho, [probe], [2, 4])
+    assert evaluate_batch(rho, [probe], []).shape == (0, 1)
+
+
+def test_core_rows_read_their_own_state():
+    # S states of a (state, probe) batch, R probes each: every row gets the
+    # bytes of its state's batch of one
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(12)
+    states = [random_density(dims, rng) for _ in range(3)]
+    probes = [_random_probe(dims, rng) for _ in range(4)]
+    factors = _stack(probes * len(states), dims)
+    first, weights = _weights(_interleaved(states), factors)
+    assert first.shape == (12,) and weights.shape == (12, 2**3)
+    for s, rho in enumerate(states):
+        for r, probe in enumerate(probes):
+            one_first, one_weights = _weights(_interleaved([rho]), _stack([probe], dims))
+            row = s * len(probes) + r
+            assert _bits(first[row]) == _bits(*one_first)
+            assert weights[row].tobytes() == one_weights[0].tobytes()
 
 
 # --- criterion properties ---------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -261,6 +262,128 @@ def test_lockstep_restarts_stay_within_memory_cap():
     assert peak < 100 * 2**20
 
 
+# --- referee: the serial scan that the batched grid replaced --------------------------
+
+
+def _serial_scan(target, k, resolution, cfg, tolerance):
+    """The scan of one optimize_probe per noise level, one level after the other."""
+    trace = []
+
+    def run(p, phase):
+        report = optimize_probe(white_noise(target, p), k, cfg, tolerance)
+        trace.append(ScanEvaluation(phase, p, report.lhs, report.detected))
+        return report
+
+    def result(p_star, bracket, probe, fallback=False):
+        return NoiseScanResult(p_star, bracket, fallback, len(trace), probe, tuple(trace))
+
+    grid = [run(i / 16, "grid") for i in range(17)]
+    flags = [report.detected for report in grid]
+    if not any(flags):
+        return result(1.0, (1.0, 1.0), grid[-1].probe)
+    first_hit = flags.index(True)
+    if not all(flags[first_hit:]):
+        dense = [min(i * resolution, 1.0) for i in range(math.ceil(1.0 / resolution) + 1)]
+        if dense[-1] != 1.0:
+            dense.append(1.0)
+        for p in dense:
+            report = run(p, "dense")
+            if report.detected:
+                return result(p, (max(p - resolution, 0.0), p), report.probe, True)
+        return result(1.0, (1.0, 1.0), report.probe, True)
+    if first_hit == 0:
+        return result(0.0, (0.0, 0.0), grid[0].probe)
+    lo, hi = (first_hit - 1) / 16, first_hit / 16
+    probe = grid[first_hit].probe
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        report = run(mid, "bisect")
+        if report.detected:
+            hi, probe = mid, report.probe
+        else:
+            lo = mid
+    return result(hi, (lo, hi), probe)
+
+
+def _scan_target(name):
+    if name.startswith("ghz"):
+        return ghz(int(name[3:])).to_density()
+    if name == "w3":
+        return w_state(3).to_density()
+    dims = {"rand3x3": (3, 3), "rand2x3x2": (2, 3, 2)}[name]
+    return random_density(dims, np.random.default_rng(sum(dims)))
+
+
+# (target, k, restarts, tolerance): monotone bisection, never detected (the
+# full-rank random states), detected at p = 0 (tolerance -1) and a grid on
+# which detection flickers (W_3 at k = 3), so a dense sweep takes over
+SCAN_CASES = [
+    ("ghz2", 2, 1, 1e-9),
+    ("ghz3", 2, 2, 1e-9),
+    ("ghz3", 3, 3, 1e-9),
+    ("ghz4", 2, 3, 1e-9),
+    ("ghz4", 3, 1, 1e-9),
+    ("w3", 2, 2, 1e-9),
+    ("w3", 3, 1, 1e-9),
+    ("rand3x3", 2, 3, 1e-9),
+    ("rand2x3x2", 2, 2, 1e-9),
+    ("rand2x3x2", 3, 1, 1e-9),
+    ("ghz3", 2, 1, -1.0),
+    ("rand3x3", 2, 2, -1.0),
+    ("rand2x3x2", 3, 3, -1.0),
+]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=lambda c: f"{c[0]}-k{c[1]}-r{c[2]}-tol{c[3]:g}")
+def test_grid_batch_matches_serial_scan(case, monkeypatch):
+    name, k, restarts, tolerance = case
+    target = _scan_target(name)
+    cfg = SearchConfig(restarts=restarts, max_iters=15, seed=3 * restarts + k)
+    want = json.dumps(_serial_scan(target, k, 1e-2, cfg, tolerance).to_json_dict(include_trace=True))
+    # the default cap batches all 17 grid levels, a cap of 1 one level per batch
+    for cap in (search.MAX_BATCH_ENTRIES, 1):
+        monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", cap)
+        got = scan_noise(target, k, 1e-2, cfg, tolerance).to_json_dict(include_trace=True)
+        assert json.dumps(got) == want, (case, cap)
+
+
+def test_grid_batch_cases_cover_every_branch():
+    branches = set()
+    for name, k, restarts, tolerance in SCAN_CASES:
+        cfg = SearchConfig(restarts=restarts, max_iters=15, seed=3 * restarts + k)
+        result = scan_noise(_scan_target(name), k, 1e-2, cfg, tolerance)
+        phases = {e.phase for e in result.trace}
+        if "bisect" in phases:
+            branches.add("bisect")
+        elif "dense" in phases:
+            branches.add("dense")
+        elif result.p_star == 0.0:
+            branches.add("detected at 0")
+        elif result.p_star == 1.0 and not any(e.detected for e in result.trace):
+            branches.add("never detected")
+    assert branches == {"bisect", "dense", "detected at 0", "never detected"}
+
+
+def test_grid_levels_stay_within_memory_cap():
+    # 17 noisy 10-qubit levels held at once would take 17 x 2 x 16 MiB
+    # (matrix and interleaved copy, 544 MiB); the grid builds one per batch
+    target = ghz(10).to_density()
+    _partition_plan(10, 2)
+    cfg = SearchConfig(restarts=2, max_iters=1)
+    tracemalloc.start()
+    try:
+        levels = (white_noise(target, i / 16) for i in range(17))
+        reports = search._search_levels(target.dims, levels, 2, cfg, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 17
+    assert peak < 100 * 2**20
+    # about 4 matrices: one level's state and its build or climb temporaries;
+    # a batch kept alive while the next one builds adds 2 more
+    assert peak < 5 * target.mat.nbytes
+
+
 # --- probe search -------------------------------------------------------------------
 
 
@@ -328,7 +451,7 @@ def test_scan_bad_k_fails_before_any_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("no search may run for a bad k")
 
-    monkeypatch.setattr(search_mod, "optimize_probe", no_search)
+    monkeypatch.setattr(search_mod, "_search_levels", no_search)
     for bad in (0, 3):
         with pytest.raises(ParameterError):
             search_mod.scan_noise(ghz(2).to_density(), bad, 0.1, FAST)
@@ -381,7 +504,7 @@ def test_scan_detected_at_zero_noise():
 
 
 def _flicker_optimize(calls: list):
-    """Fake optimize_probe on noisy GHZ_2 that records each p it searches.
+    """Fake search seam on noisy GHZ_2 levels that records each p it searches.
 
     Detection holds only in two islands, p = 0.25 and p = 0.5, so it
     flickers on the coarse grid: bisection is unsound and the dense sweep
@@ -401,13 +524,16 @@ def _flicker_optimize(calls: list):
             probe=probe,
         )
 
-    return fake_optimize
+    def fake_search(dims, states, k, cfg, tolerance=1e-9):
+        return [fake_optimize(rho, k, cfg, tolerance) for rho in states]
+
+    return fake_search
 
 
 def test_scan_nonmonotone_grid_falls_back_to_dense_sweep(monkeypatch):
     import ksep.search as search_mod
 
-    monkeypatch.setattr(search_mod, "optimize_probe", _flicker_optimize([]))
+    monkeypatch.setattr(search_mod, "_search_levels", _flicker_optimize([]))
     result = search_mod.scan_noise(ghz(2).to_density(), 2, 0.1, FAST)
     assert result.grid_fallback
     # 0.25 is not on the dense 0.1 grid, so 0.5 is the first dense hit
@@ -422,7 +548,7 @@ def test_scan_dense_sweep_guard_refuses_before_searching(monkeypatch):
     import ksep.search as search_mod
 
     calls = []
-    monkeypatch.setattr(search_mod, "optimize_probe", _flicker_optimize(calls))
+    monkeypatch.setattr(search_mod, "_search_levels", _flicker_optimize(calls))
     # 10^6 + 1 dense points: refused after the 17 grid searches, before any dense one
     with pytest.raises(GuardError):
         search_mod.scan_noise(ghz(2).to_density(), 2, 1e-6, FAST)
