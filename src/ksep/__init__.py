@@ -21,7 +21,7 @@ from .errors import (
     StateValidationError,
     WeightError,
 )
-from .linalg import DensityDiagnostics, bilinear, check_density, kron, kron_all
+from .linalg import DensityDiagnostics, check_density, kron_all
 from .partitions import (
     KPartition,
     enumerate_kpartitions,
@@ -85,9 +85,7 @@ __all__ = [
     "GuardError",
     # linalg
     "DensityDiagnostics",
-    "bilinear",
     "check_density",
-    "kron",
     "kron_all",
     # partitions
     "KPartition",

@@ -4,6 +4,9 @@ Machine-readable output (JSON by default, CSV where it makes sense) goes
 to stdout; human diagnostics go to stderr.  Exit codes: 0 inconclusive or
 plain success, 10 non-k-separability detected, 1 internal consistency
 check failed, 2 bad input.
+
+Every subcommand only computes: it returns a ``_Run`` and ``main`` times
+it, builds the manifest and writes the JSON or CSV.
 """
 
 from __future__ import annotations
@@ -14,37 +17,17 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .criterion import (
-    DEFAULT_TOLERANCE,
-    CriterionReport,
-    ProductProbe,
-    evaluate,
-)
+from .criterion import DEFAULT_TOLERANCE, CriterionReport, ProductProbe, evaluate
 from .errors import FormatError, GuardError, KsepError, ParameterError
 from .oracle import equivalence_campaign
 from .partitions import MAX_PARTITIONS, enumerate_kpartitions, stirling2
-from .search import (
-    BASIS_PAIR,
-    GHZ_PAIR,
-    RANDOM,
-    SearchConfig,
-    canonical_probe,
-    optimize_probe,
-    scan_noise,
-)
-from .states import (
-    DensityMatrix,
-    _read_json,
-    ghz,
-    load_state,
-    maximally_mixed,
-    w_state,
-    white_noise,
-)
+from .search import BASIS_PAIR, GHZ_PAIR, RANDOM, SearchConfig, canonical_probe, optimize_probe, scan_noise
+from .states import DensityMatrix, _read_json, ghz, load_state, maximally_mixed, w_state, white_noise
 
 EXIT_OK = 0
 EXIT_INTERNAL_CHECK = 1
@@ -57,72 +40,66 @@ ORACLE_CHECK_THRESHOLD = 1e-10
 # --- input parsing -----------------------------------------------------------
 
 
+# family -> (flags, keys as key -> (type, default; None if required), builder
+# taking the key values in key order)
+_FAMILIES = {
+    "ghz": ((), {"n": (int, None), "d": (int, 2)}, lambda n, d: ghz(n, d).to_density()),
+    "w": ((), {"n": (int, None)}, lambda n: w_state(n).to_density()),
+    "mixed": (("I",), {"n": (int, None), "d": (int, 2)}, lambda n, d: maximally_mixed((d,) * n)),
+    "noisy-ghz": (
+        (),
+        {"n": (int, None), "p": (float, None), "d": (int, 2)},
+        lambda n, p, d: white_noise(ghz(n, d).to_density(), p),
+    ),
+}
+_TYPE_NOUNS = {int: "an integer", float: "a number"}
+
+
 def _parse_family(descriptor: str) -> DensityMatrix:
     """Build a state from a family descriptor like ``ghz:n=3,d=2``.
 
     Families: ghz:n=N[,d=D]; w:n=N; mixed:I,n=N[,d=D];
-    noisy-ghz:n=N,p=P[,d=D].
+    noisy-ghz:n=N,p=P[,d=D].  An unknown family, flag or key, a missing key
+    and a value that is not of its key's type raise FormatError.
     """
     name, _, rest = descriptor.partition(":")
+    if name not in _FAMILIES:
+        raise FormatError(f"unknown family {name!r}; expected ghz, w, mixed or noisy-ghz")
+    want_flags, keys, build = _FAMILIES[name]
     kv: dict[str, str] = {}
     flags: list[str] = []
-    if rest:
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                key, _, value = token.partition("=")
-                kv[key.strip()] = value.strip()
-            else:
-                flags.append(token)
-
-    def want_int(key):
-        if key not in kv:
+    for token in filter(None, (t.strip() for t in rest.split(","))):
+        if "=" in token:
+            key, _, value = token.partition("=")
+            kv[key.strip()] = value.strip()
+        else:
+            flags.append(token)
+    if tuple(flags) != want_flags:
+        raise FormatError(f"family {descriptor!r}: takes the flags {list(want_flags)}, got {flags}")
+    unknown = sorted(kv.keys() - keys.keys())
+    if unknown:
+        raise FormatError(f"family {descriptor!r}: unknown key {unknown[0]!r}")
+    values = []
+    for key, (kind, default) in keys.items():
+        if key not in kv and default is None:
             raise FormatError(f"family {descriptor!r}: missing {key}=...")
         try:
-            return int(kv[key])
+            values.append(kind(kv[key]) if key in kv else default)
         except ValueError:
-            raise FormatError(f"family {descriptor!r}: {key}={kv[key]!r} is not an integer")
-
-    def want_float(key):
-        if key not in kv:
-            raise FormatError(f"family {descriptor!r}: missing {key}=...")
-        try:
-            return float(kv[key])
-        except ValueError:
-            raise FormatError(f"family {descriptor!r}: {key}={kv[key]!r} is not a number")
-
-    def opt_int(key, default):
-        return int(kv[key]) if key in kv else default
-
-    if name == "ghz":
-        return ghz(want_int("n"), opt_int("d", 2)).to_density()
-    if name == "w":
-        return w_state(want_int("n")).to_density()
-    if name == "mixed":
-        if flags != ["I"]:
             raise FormatError(
-                f"family {descriptor!r}: only the maximally mixed form 'mixed:I,n=N' is supported"
-            )
-        n = want_int("n")
-        d = opt_int("d", 2)
-        if n < 1 or d < 2:
-            raise FormatError(f"family {descriptor!r}: need n >= 1 and d >= 2")
-        return maximally_mixed((d,) * n)
-    if name == "noisy-ghz":
-        target = ghz(want_int("n"), opt_int("d", 2)).to_density()
-        return white_noise(target, want_float("p"))
-    raise FormatError(
-        f"unknown family {name!r}; expected ghz, w, mixed or noisy-ghz"
-    )
+                f"family {descriptor!r}: {key}={kv[key]!r} is not {_TYPE_NOUNS[kind]}"
+            ) from None
+    return build(*values)
 
 
 def _load_state_arg(args) -> tuple[DensityMatrix, str]:
+    """The validated state named by ``--family`` or ``--state``, and its
+    manifest input.  ``load_state`` validates a file while it reads it."""
     if args.family is not None:
-        return _parse_family(args.family), f"family:{args.family}"
-    rho = load_state(args.state)
-    return rho, f"state:{args.state}"
+        rho = _parse_family(args.family)
+        rho.validate()
+        return rho, f"family:{args.family}"
+    return load_state(args.state), f"state:{args.state}"
 
 
 def _resolve_probe(spec: str, dims, rng: np.random.Generator) -> ProductProbe:
@@ -146,66 +123,37 @@ def _resolve_probe(spec: str, dims, rng: np.random.Generator) -> ProductProbe:
     )
 
 
-# --- output helpers ----------------------------------------------------------
-
-
-def _manifest(command: str, inputs: list[str], seed: int, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tool_version": __version__,
-        "wall_time_ms": int((time.perf_counter() - started) * 1000),
-    }
-
-
-def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-
-
-def _report_csv(report: CriterionReport):
-    header = ["k", "lhs", "first_term", "verdict", "tolerance"]
-    row = [report.k, repr(report.lhs), repr(report.first_term), report.verdict, repr(report.tolerance)]
-    return header, [row]
-
-
-def _emit_report(args, manifest: dict, report: CriterionReport, extra: dict | None = None) -> int:
-    if args.format == "csv":
-        header, rows = _report_csv(report)
-        _print_csv(header, rows)
-    else:
-        payload = {"manifest": manifest, "report": report.to_json_dict()}
-        if extra:
-            payload.update(extra)
-        _print_json(payload)
-    return EXIT_DETECTED if report.detected else EXIT_OK
-
-
 # --- subcommands -------------------------------------------------------------
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
-    rho, state_desc = _load_state_arg(args)
-    rho.validate()
-    rng = np.random.default_rng(args.seed)
-    probe = _resolve_probe(args.probe, rho.dims, rng)
-    report = evaluate(rho, probe, args.k, args.tolerance)
-    manifest = _manifest(
-        "eval",
-        [state_desc, f"probe:{args.probe}", f"k={args.k}"],
-        args.seed,
-        started,
+class _Run(NamedTuple):
+    """What a subcommand computed: manifest ``inputs`` and extra
+    ``manifest`` fields, the JSON ``fields`` after the manifest, the CSV
+    ``table`` (one dict per row; the keys are the header) and the exit code."""
+
+    inputs: list[str]
+    fields: dict
+    table: list[dict]
+    code: int = EXIT_OK
+    manifest: dict = {}
+
+
+def _report_run(inputs, report: CriterionReport, fields: dict = {}, manifest: dict = {}) -> _Run:
+    doc = report.to_json_dict()
+    return _Run(
+        inputs,
+        {"report": doc, **fields},
+        [{key: doc[key] for key in ("k", "lhs", "first_term", "verdict", "tolerance")}],
+        EXIT_DETECTED if report.detected else EXIT_OK,
+        manifest,
     )
-    return _emit_report(args, manifest, report)
+
+
+def _cmd_eval(args) -> _Run:
+    rho, state_desc = _load_state_arg(args)
+    probe = _resolve_probe(args.probe, rho.dims, np.random.default_rng(args.seed))
+    report = evaluate(rho, probe, args.k, args.tolerance)
+    return _report_run([state_desc, f"probe:{args.probe}", f"k={args.k}"], report)
 
 
 def _search_config(args) -> SearchConfig:
@@ -219,88 +167,41 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _cmd_detect(args) -> int:
-    started = time.perf_counter()
+def _cmd_detect(args) -> _Run:
     rho, state_desc = _load_state_arg(args)
-    rho.validate()
     cfg = _search_config(args)
     report = optimize_probe(rho, args.k, cfg, args.tolerance)
-    manifest = _manifest("detect", [state_desc, f"k={args.k}"], args.seed, started)
-    manifest["search_config"] = cfg.to_json_dict()
-    return _emit_report(args, manifest, report, extra={"probe": report.probe.to_json_dict()})
-
-
-def _cmd_scan(args) -> int:
-    started = time.perf_counter()
-    rho, state_desc = _load_state_arg(args)
-    rho.validate()
-    cfg = _search_config(args)
-    result = scan_noise(rho, args.k, args.resolution, cfg, args.tolerance)
-    manifest = _manifest(
-        "scan",
-        [state_desc, f"k={args.k}", f"resolution={args.resolution}"],
-        args.seed,
-        started,
+    return _report_run(
+        [state_desc, f"k={args.k}"],
+        report,
+        {"probe": report.probe.to_json_dict()},
+        {"search_config": cfg.to_json_dict()},
     )
-    manifest["search_config"] = cfg.to_json_dict()
-    if args.format == "csv":
-        if args.trace:
-            _print_csv(
-                ["phase", "p", "lhs", "detected"],
-                [
-                    [e.phase, repr(e.p), repr(e.lhs), "true" if e.detected else "false"]
-                    for e in result.trace
-                ],
-            )
-        else:
-            _print_csv(
-                ["p_star", "p_lo", "p_hi", "grid_fallback", "evaluations"],
-                [
-                    [
-                        repr(result.p_star),
-                        repr(result.bracket[0]),
-                        repr(result.bracket[1]),
-                        "true" if result.grid_fallback else "false",
-                        result.evaluations,
-                    ]
-                ],
-            )
-    else:
-        _print_json(
-            {
-                "manifest": manifest,
-                "result": result.to_json_dict(include_trace=args.trace),
-            }
-        )
-    return EXIT_OK
 
 
-def _cmd_oracle_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_scan(args) -> _Run:
+    rho, state_desc = _load_state_arg(args)
+    cfg = _search_config(args)
+    doc = scan_noise(rho, args.k, args.resolution, cfg, args.tolerance).to_json_dict(
+        include_trace=args.trace
+    )
+    p_lo, p_hi = doc["bracket"]
+    summary = {
+        "p_star": doc["p_star"], "p_lo": p_lo, "p_hi": p_hi,
+        "grid_fallback": doc["grid_fallback"], "evaluations": doc["evaluations"],
+    }
+    return _Run(
+        [state_desc, f"k={args.k}", f"resolution={args.resolution}"],
+        {"result": doc},
+        doc["trace"] if args.trace else [summary],
+        manifest={"search_config": cfg.to_json_dict()},
+    )
+
+
+def _cmd_oracle_check(args) -> _Run:
     summary = equivalence_campaign(
         args.n, args.dmax, args.trials, args.seed, threshold=ORACLE_CHECK_THRESHOLD
     )
-    manifest = _manifest(
-        "oracle-check",
-        [f"n={args.n}", f"dmax={args.dmax}", f"trials={args.trials}"],
-        args.seed,
-        started,
-    )
-    if args.format == "csv":
-        _print_csv(
-            ["trials", "comparisons", "max_term_deviation", "max_lhs_deviation", "passed"],
-            [
-                [
-                    summary.trials,
-                    summary.comparisons,
-                    repr(summary.max_term_deviation),
-                    repr(summary.max_lhs_deviation),
-                    "true" if summary.passed else "false",
-                ]
-            ],
-        )
-    else:
-        _print_json({"manifest": manifest, "summary": summary.to_json_dict()})
     if not summary.passed:
         print(
             f"oracle-check FAILED: max term deviation {summary.max_term_deviation:.3e}, "
@@ -308,44 +209,28 @@ def _cmd_oracle_check(args) -> int:
             f"(threshold {ORACLE_CHECK_THRESHOLD:.1e})",
             file=sys.stderr,
         )
-        return EXIT_INTERNAL_CHECK
-    return EXIT_OK
+    doc = summary.to_json_dict()
+    return _Run(
+        [f"n={args.n}", f"dmax={args.dmax}", f"trials={args.trials}"],
+        {"summary": doc},
+        [{key: value for key, value in doc.items() if key != "threshold"}],
+        EXIT_OK if summary.passed else EXIT_INTERNAL_CHECK,
+    )
 
 
-def _cmd_partitions(args) -> int:
-    started = time.perf_counter()
+def _cmd_partitions(args) -> _Run:
     if not 1 <= args.k <= args.n <= 20:
         raise ParameterError(f"need 1 <= k <= n <= 20, got n={args.n}, k={args.k}")
-    count = stirling2(args.n, args.k)
-    manifest = _manifest(
-        "partitions", [f"n={args.n}", f"k={args.k}"], args.seed, started
-    )
+    inputs = [f"n={args.n}", f"k={args.k}"]
+    fields = {"n": args.n, "k": args.k, "count": stirling2(args.n, args.k)}
     if args.count_only:
-        if args.format == "csv":
-            _print_csv(["n", "k", "count"], [[args.n, args.k, count]])
-        else:
-            _print_json(
-                {"manifest": manifest, "n": args.n, "k": args.k, "count": count}
-            )
-        return EXIT_OK
-    if count > MAX_PARTITIONS:
+        return _Run(inputs, fields, [fields])
+    if fields["count"] > MAX_PARTITIONS:
         raise GuardError(
-            f"{count} partitions is too many to list; use --count-only"
+            f"{fields['count']} partitions is too many to list; use --count-only"
         )
     notations = [part.notation() for part in enumerate_kpartitions(args.n, args.k)]
-    if args.format == "csv":
-        _print_csv(["partition"], [[s] for s in notations])
-    else:
-        _print_json(
-            {
-                "manifest": manifest,
-                "n": args.n,
-                "k": args.k,
-                "count": count,
-                "partitions": notations,
-            }
-        )
-    return EXIT_OK
+    return _Run(inputs, {**fields, "partitions": notations}, [{"partition": s} for s in notations])
 
 
 # --- parser ------------------------------------------------------------------
@@ -439,15 +324,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --- the one run path --------------------------------------------------------
+
+
+def _cell(value):
+    """A CSV cell: floats as their shortest round-trip repr, booleans as
+    ``true``/``false``, anything else as written by ``csv``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code instead of calling sys.exit."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        if args.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {args.seed}")
+        run = args.func(args)
     except KsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(run.table[0])
+        writer.writerows([_cell(v) for v in row.values()] for row in run.table)
+        return run.code
+    manifest = {
+        "command": args.command,
+        "inputs": run.inputs,
+        "seed": args.seed,
+        "tool_version": __version__,
+        "wall_time_ms": int((time.perf_counter() - started) * 1000),
+        **run.manifest,
+    }
+    json.dump({"manifest": manifest, **run.fields}, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return run.code
 
 
 def entry() -> None:

@@ -33,6 +33,7 @@ explicit route).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -86,25 +87,22 @@ class ProductProbe:
             raise DimensionError(
                 f"probe copies have {len(u)} and {len(v)} factors, expected equal and >= 1"
             )
-        for copy_name, factors in (("u", u), ("v", v)):
-            for m, f in enumerate(factors):
+        for m, (fu, fv) in enumerate(zip(u, v)):
+            for copy_name, f in (("u", fu), ("v", fv)):
                 if f.ndim != 1 or f.shape[0] < 2:
                     raise DimensionError(
                         f"probe factor {copy_name}[{m}] has shape {f.shape}, expected a vector of dimension >= 2"
                     )
-                norm = float(np.linalg.norm(f))
+                norm = math.sqrt(np.vdot(f, f).real)
                 if abs(norm - 1.0) > UNIT_NORM_TOL:
                     raise NormalizationError(
                         f"probe factor {copy_name}[{m}] has norm {norm!r}, expected 1"
                     )
-        for m, (fu, fv) in enumerate(zip(u, v)):
+                f.setflags(write=False)
             if fu.shape != fv.shape:
                 raise DimensionError(
                     f"probe factors at site {m} have dimensions {fu.shape[0]} and {fv.shape[0]}"
                 )
-        for factors in (u, v):
-            for f in factors:
-                f.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -316,13 +314,10 @@ def _weights(inter: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
         kets = f.take(_KET_ROWS, axis=2)
         forms[d] = (bras[..., :, None] * kets[..., None, :]).reshape(*f.shape[:2], 3, d * d)
     (d, j), *rest = reversed(_slots(inter.shape[1::2]))
-    # the last site first; one state broadcasts against all R probes, S
-    # states on a (state, probe) batch shape against their own R each
-    site = forms[d][:, j]
-    rho = inter.reshape(levels, -1, d * d)
-    if levels > 1:
-        site = site.reshape(levels, -1, 3, d * d)
-        rho = rho[:, None]
+    # the last site first, on a (state, probe) batch shape: each of the S
+    # states against its own R probes
+    site = forms[d][:, j].reshape(levels, -1, 3, d * d)
+    rho = inter.reshape(levels, 1, -1, d * d)
     w = site[..., :2, :] @ rho.swapaxes(-1, -2)
     first = rho @ site[..., 2, :, None]
     for d, j in rest:

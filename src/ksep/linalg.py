@@ -19,32 +19,16 @@ DEFAULT_DENSITY_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor most significant.
-
-    result[i * dim(b) + j] = a[i] * b[j]
-    """
-    return np.kron(a, b)
-
-
 def kron_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker chain of one or more vectors or matrices."""
+    """Left-to-right Kronecker chain of one or more vectors or matrices.
+
+    The first factor is the most significant: for two vectors,
+    result[i * dim(b) + j] = a[i] * b[j].
+    """
     out = factors[0]
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
-
-
-def bilinear(mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
-    """Sesquilinear form  x^dagger . mat . y  (x is conjugated)."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-    d = mat.shape[0]
-    if x.shape != (d,):
-        raise DimensionError(f"left vector has shape {x.shape}, expected ({d},)")
-    if y.shape != (d,):
-        raise DimensionError(f"right vector has shape {y.shape}, expected ({d},)")
-    return complex(np.vdot(x, mat @ y))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .criterion import (
     evaluate,
 )
 from .errors import GuardError, NumericalError, ParameterError
-from .linalg import kron
 from .partitions import enumerate_kpartitions
 from .search import RANDOM, _basis_factors, canonical_probe
 from .states import DensityMatrix, random_density, mix, random_product_pure
@@ -130,7 +129,7 @@ def oracle_term(rho: DensityMatrix, probe: ProductProbe, sites) -> float:
     _check_compatible(rho, probe)
     _check_guard(rho.dim)
     phi1, phi2 = probe.copy_vectors()
-    phi = kron(phi1, phi2)
+    phi = np.kron(phi1, phi2)
     swapped = build_swap_operator(rho.dims, sites).apply(phi)
     value = _two_copy_form(rho.mat, swapped, swapped)
     if abs(value.imag) >= IMAG_TOL:
@@ -160,7 +159,7 @@ def oracle_evaluate(
     if not 1 <= k <= n:
         raise ParameterError(f"block count k={k} outside 1..{n}")
     phi1, phi2 = probe.copy_vectors()
-    phi = kron(phi1, phi2)
+    phi = np.kron(phi1, phi2)
     total = total_swap_operator(rho.dims)
     first_sq = _two_copy_form(rho.mat, phi, total.apply(phi))
     if abs(first_sq.imag) >= IMAG_TOL:

@@ -8,7 +8,21 @@ import math
 import numpy as np
 import pytest
 
-from ksep import evaluate, ghz, random_density, save_state, white_noise
+import ksep.cli
+import ksep.states
+from ksep import (
+    SearchConfig,
+    enumerate_kpartitions,
+    equivalence_campaign,
+    evaluate,
+    ghz,
+    optimize_probe,
+    random_density,
+    save_state,
+    scan_noise,
+    stirling2,
+    white_noise,
+)
 from ksep.cli import main
 from ksep.search import RANDOM, canonical_probe
 
@@ -177,12 +191,39 @@ def test_eval_tolerance_flag(capsys):
         ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "7"),
         ("partitions", "--n", "21", "--k", "2"),
         ("partitions", "--n", "3", "--k", "5"),
+        ("eval", "--family", "ghz:n=3,d=x", "--probe", "ghz-pair", "--k", "2"),
+        ("eval", "--family", "w:n=3,d=3", "--probe", "ghz-pair", "--k", "2"),
+        ("eval", "--family", "ghz:I,n=3", "--probe", "ghz-pair", "--k", "2"),
+        ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "2", "--seed", "-1"),
+        ("oracle-check", "--n", "2", "--trials", "2", "--seed", "-1"),
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "2"),
+        ("detect", "--family", "ghz:n=3", "--k", "2"),
+        ("scan", "--family", "ghz:n=2", "--k", "2"),
+        ("oracle-check", "--n", "2"),
+        ("partitions", "--n", "4", "--k", "2"),
+    ],
+)
+def test_negative_seed_fails_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_load_state_arg", "equivalence_campaign", "stirling2"):
+        monkeypatch.setattr(ksep.cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_eval_rejects_invalid_state_file(capsys, tmp_path):
@@ -393,3 +434,139 @@ def test_partitions_listing_guard(capsys):
     code2, _, err = run_cli(capsys, "partitions", "--n", "20", "--k", "10")
     assert code2 == 2
     assert "--count-only" in err
+
+
+# --- the one writer -------------------------------------------------------------------
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _report_row(doc):
+    report = doc["report"]
+    return [[report[key] for key in ("k", "lhs", "first_term", "verdict", "tolerance")]]
+
+
+def _scan_rows(doc):
+    result = doc["result"]
+    if "trace" in result:
+        return [[e["phase"], e["p"], e["lhs"], e["detected"]] for e in result["trace"]]
+    lo, hi = result["bracket"]
+    return [[result["p_star"], lo, hi, result["grid_fallback"], result["evaluations"]]]
+
+
+def _oracle_row(doc):
+    summary = doc["summary"]
+    return [[summary[key] for key in ("trials", "comparisons", "max_term_deviation", "max_lhs_deviation", "passed")]]
+
+
+def _partition_rows(doc):
+    if "partitions" in doc:
+        return [[s] for s in doc["partitions"]]
+    return [[doc["n"], doc["k"], doc["count"]]]
+
+
+def _detect_fields(report):
+    return {"report": report.to_json_dict(), "probe": report.probe.to_json_dict()}
+
+
+NOISY_GHZ3 = white_noise(ghz(3).to_density(), 0.8)
+DETECT_CFG = SearchConfig(restarts=3, max_iters=60, seed=2)
+SCAN_CFG = SearchConfig(restarts=2, max_iters=30)
+
+# argv, the library's fields after the manifest, the CSV rows from the JSON
+WRITER_CASES = {
+    "eval": (
+        ("eval", "--family", "noisy-ghz:n=3,p=0.8", "--probe", "random", "--k", "2", "--seed", "5"),
+        lambda: {
+            "report": evaluate(
+                NOISY_GHZ3, canonical_probe(RANDOM, (2, 2, 2), rng=np.random.default_rng(5)), 2
+            ).to_json_dict()
+        },
+        _report_row,
+    ),
+    "detect": (
+        ("detect", "--family", "noisy-ghz:n=3,p=0.8", "--k", "2", *DETECT_FAST, "--seed", "2"),
+        lambda: _detect_fields(optimize_probe(NOISY_GHZ3, 2, DETECT_CFG)),
+        _report_row,
+    ),
+    "scan": (
+        ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "0.05", *SCAN_FAST),
+        lambda: {"result": scan_noise(ghz(2).to_density(), 2, 0.05, SCAN_CFG).to_json_dict()},
+        _scan_rows,
+    ),
+    "scan-trace": (
+        ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "0.05", *SCAN_FAST, "--trace"),
+        lambda: {
+            "result": scan_noise(ghz(2).to_density(), 2, 0.05, SCAN_CFG).to_json_dict(include_trace=True)
+        },
+        _scan_rows,
+    ),
+    "oracle-check": (
+        ("oracle-check", "--n", "2", "--dmax", "3", "--trials", "4", "--seed", "3"),
+        lambda: {"summary": equivalence_campaign(2, 3, 4, 3, threshold=1e-10).to_json_dict()},
+        _oracle_row,
+    ),
+    "partitions": (
+        ("partitions", "--n", "4", "--k", "2"),
+        lambda: {
+            "n": 4, "k": 2, "count": 7,
+            "partitions": [part.notation() for part in enumerate_kpartitions(4, 2)],
+        },
+        _partition_rows,
+    ),
+    "partitions-count": (
+        ("partitions", "--n", "10", "--k", "3", "--count-only"),
+        lambda: {"n": 10, "k": 3, "count": stirling2(10, 3)},
+        _partition_rows,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_json_fields_are_the_library_dicts(capsys, case):
+    argv, library, _ = WRITER_CASES[case]
+    _, doc, _ = run_json(capsys, *argv)
+    want = json.loads(json.dumps(library()))
+    assert list(doc) == ["manifest", *want]
+    assert {key: doc[key] for key in want} == want
+    manifest = doc["manifest"]
+    keys = ["command", "inputs", "seed", "tool_version", "wall_time_ms"]
+    if argv[0] in ("detect", "scan"):
+        keys.append("search_config")
+        cfg = DETECT_CFG if argv[0] == "detect" else SCAN_CFG
+        assert manifest["search_config"] == cfg.to_json_dict()
+    assert list(manifest) == keys
+    assert manifest["command"] == argv[0]
+    assert isinstance(manifest["wall_time_ms"], int)
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_csv_rows_are_the_json_values(capsys, case):
+    argv, _, rows_of = WRITER_CASES[case]
+    code_j, doc, _ = run_json(capsys, *argv)
+    code_c, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code_c == code_j
+    _, rows = read_csv(out)
+    assert rows == [[_cell(v) for v in row] for row in rows_of(doc)]
+
+
+@pytest.mark.parametrize("source", ["state", "family"])
+def test_each_state_is_validated_once(capsys, monkeypatch, tmp_path, source):
+    path = tmp_path / "ghz3.json"
+    save_state(ghz(3).to_density(), path)
+    calls = []
+    check = ksep.states.check_density
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(ksep.states, "check_density", counting_check)
+    spec = str(path) if source == "state" else "ghz:n=3"
+    code, _, _ = run_cli(capsys, "eval", f"--{source}", spec, "--probe", "ghz-pair", "--k", "2")
+    assert code == 10
+    assert len(calls) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksep import DimensionError, bilinear, check_density, kron, kron_all
+from ksep import check_density, kron_all
 
 
 def _rand_vec(rng, d):
@@ -14,13 +14,13 @@ def _rand_vec(rng, d):
 def test_kron_basis_vectors():
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
-    out = kron(e0, e1)
+    out = kron_all((e0, e1))
     assert np.array_equal(out, np.array([0, 1, 0, 0], dtype=complex))
 
 
 def test_kron_scalar_identity():
     v = np.array([0.3 + 0.1j, -0.2j, 0.5], dtype=complex)
-    assert np.array_equal(kron(np.array([1.0 + 0j]), v), v)
+    assert np.array_equal(kron_all((np.array([1.0 + 0j]), v)), v)
 
 
 def test_kron_index_convention():
@@ -29,7 +29,7 @@ def test_kron_index_convention():
     rng = np.random.default_rng(3)
     a = (rng.integers(-4, 5, size=3) + 1j * rng.integers(-4, 5, size=3)).astype(complex)
     b = (rng.integers(-4, 5, size=4) + 1j * rng.integers(-4, 5, size=4)).astype(complex)
-    out = kron(a, b)
+    out = kron_all((a, b))
     for i in range(3):
         for j in range(4):
             assert out[i * 4 + j] == a[i] * b[j]
@@ -40,8 +40,8 @@ def test_kron_index_convention():
 def test_kron_associative(seed, da, db, dc):
     rng = np.random.default_rng(seed)
     a, b, c = _rand_vec(rng, da), _rand_vec(rng, db), _rand_vec(rng, dc)
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
+    left = kron_all((kron_all((a, b)), c))
+    right = kron_all((a, kron_all((b, c))))
     np.testing.assert_allclose(left, right, rtol=0, atol=1e-14)
 
 
@@ -50,7 +50,7 @@ def test_kron_associative(seed, da, db, dc):
 def test_kron_norm_multiplicative(seed):
     rng = np.random.default_rng(seed)
     a, b = _rand_vec(rng, 3), _rand_vec(rng, 5)
-    assert np.linalg.norm(kron(a, b)) == pytest.approx(
+    assert np.linalg.norm(kron_all((a, b))) == pytest.approx(
         np.linalg.norm(a) * np.linalg.norm(b), rel=1e-13
     )
 
@@ -60,66 +60,6 @@ def test_kron_all_chain():
     factors = [_rand_vec(rng, d) for d in (2, 3, 2)]
     expected = np.kron(np.kron(factors[0], factors[1]), factors[2])
     assert np.array_equal(kron_all(factors), expected)
-
-
-def test_bilinear_identity_diagonal():
-    eye = np.eye(2, dtype=complex)
-    x = np.array([1, 0], dtype=complex)
-    y = np.array([0, 1], dtype=complex)
-    assert bilinear(eye, x, x) == 1.0 + 0j
-    assert bilinear(eye, x, y) == 0.0 + 0j
-
-
-def test_bilinear_plus_state_offdiagonal():
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    rho = np.outer(plus, plus.conj())
-    e0 = np.array([1, 0], dtype=complex)
-    e1 = np.array([0, 1], dtype=complex)
-    assert bilinear(rho, e0, e1) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_bilinear_conjugates_left_argument():
-    rng = np.random.default_rng(11)
-    mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x, y = _rand_vec(rng, 3), _rand_vec(rng, 3)
-    direct = bilinear(mat, x, y)
-    manual = np.conj(x) @ mat @ y
-    assert direct == pytest.approx(manual, abs=1e-13)
-    # swapping arguments on the adjoint matrix conjugates the form
-    assert bilinear(mat.conj().T, y, x) == pytest.approx(np.conj(direct), abs=1e-13)
-
-
-def test_bilinear_hermitian_real_within_rounding():
-    rng = np.random.default_rng(12)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    herm = g + g.conj().T
-    x = _rand_vec(rng, 4)
-    assert abs(bilinear(herm, x, x).imag) < 1e-13
-
-
-def test_bilinear_dimension_mismatch():
-    eye = np.eye(2, dtype=complex)
-    v2 = np.zeros(2, dtype=complex)
-    v3 = np.zeros(3, dtype=complex)
-    with pytest.raises(DimensionError):
-        bilinear(eye, v3, v2)
-    with pytest.raises(DimensionError):
-        bilinear(eye, v2, v3)
-    with pytest.raises(DimensionError):
-        bilinear(np.zeros((2, 3), dtype=complex), v2, v3)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_cauchy_schwarz_on_psd(seed):
-    # |<x|rho|y>|^2 <= <x|rho|x> <y|rho|y> for any PSD matrix
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    x, y = _rand_vec(rng, 4), _rand_vec(rng, 4)
-    lhs = abs(bilinear(rho, x, y)) ** 2
-    rhs = bilinear(rho, x, x).real * bilinear(rho, y, y).real
-    assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
 
 def test_check_density_accepts_maximally_mixed():
