@@ -379,6 +379,13 @@ def _reduce_lhs(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return first - terms.cumsum(axis=-1)[:, -1]
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # a NaN or infinite threshold fixes every verdict in advance, and JSON
+    # cannot hold it
+    if not math.isfinite(tolerance):
+        raise ParameterError(f"tolerance must be finite, got {tolerance}")
+
+
 def _check_compatible(rho: DensityMatrix, probe: ProductProbe) -> None:
     if probe.dims != rho.dims:
         raise DimensionError(
@@ -427,7 +434,9 @@ def evaluate(
     else is ``inconclusive`` (the test is one-sided).  ``rho`` is assumed
     to satisfy the density-matrix invariants; run ``rho.validate()`` first
     when the input is untrusted.  ``cache`` as in ``partition_term``.
+    Raises ParameterError for a tolerance that is not finite.
     """
+    _check_tolerance(tolerance)
     _check_compatible(rho, probe)
     plan = _partition_plan(rho.site_count, k)
     first, weights = _probe_weights(rho, probe, cache)

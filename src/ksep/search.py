@@ -73,6 +73,8 @@ class SearchConfig:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.step_init > 0.0:
             raise ParameterError(f"step_init must be positive, got {self.step_init}")
+        if not math.isfinite(self.step_init):
+            raise ParameterError(f"step_init must be finite, got {self.step_init}")
         if not 0.0 < self.step_decay < 1.0:
             raise ParameterError(
                 f"step_decay must lie strictly between 0 and 1, got {self.step_decay}"
@@ -82,6 +84,10 @@ class SearchConfig:
         if not self.convergence_eps > 0.0:
             raise ParameterError(
                 f"convergence_eps must be positive, got {self.convergence_eps}"
+            )
+        if not math.isfinite(self.convergence_eps):
+            raise ParameterError(
+                f"convergence_eps must be finite, got {self.convergence_eps}"
             )
 
     def to_json_dict(self) -> dict:
@@ -352,9 +358,10 @@ def optimize_probe(
     lockstep, in batches whose largest array stays within
     MAX_BATCH_ENTRIES complex entries; restart r keeps its own generator
     ``default_rng(cfg.seed ^ r)``, so the result does not depend on the
-    batching.  Raises ParameterError for k outside 1..n and GuardError past
-    the partition guard.
+    batching.  Raises ParameterError for k outside 1..n or a tolerance that
+    is not finite, and GuardError past the partition guard.
     """
+    criterion._check_tolerance(tolerance)
     return _search_levels(rho.dims, [rho], k, cfg, tolerance)[0]
 
 
@@ -376,10 +383,14 @@ def scan_noise(
     as many whole levels per batch as MAX_BATCH_ENTRIES allows, each noisy
     state built when its batch starts); every level gets the bits its own
     ``optimize_probe`` would.  Bisection and the dense sweep search one
-    level at a time.
+    level at a time.  A resolution that is not positive and finite, or a
+    tolerance that is not finite, raises ParameterError before any search.
     """
     if not resolution > 0.0:
         raise ParameterError(f"resolution must be positive, got {resolution}")
+    if not math.isfinite(resolution):
+        raise ParameterError(f"resolution must be finite, got {resolution}")
+    criterion._check_tolerance(tolerance)
     # a bad k fails here, before any search runs
     criterion._partition_plan(target.site_count, k)
 

@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_DENSITY_TOL,
     UNIT_NORM_TOL,
     DensityDiagnostics,
+    _dominance_accepts,
     check_density,
     kron_all,
 )
@@ -43,13 +44,38 @@ def _checked_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def _require_density(mat: np.ndarray, tol: float, where: str = "") -> None:
+    """Raise StateValidationError unless ``mat`` is a density matrix within ``tol``.
+
+    A matrix that ``linalg._dominance_accepts`` accepts passes without an
+    eigensolve; any other is judged by ``check_density``, and a rejection
+    carries its record.  ``where`` starts the message (a file path and ": ").
+    """
+    if _dominance_accepts(mat, tol):
+        return
+    diag = check_density(mat, tol)
+    if not diag.accepted:
+        raise StateValidationError(
+            f"{where}not a valid density matrix: "
+            f"hermiticity defect {diag.hermiticity_defect:.3e}, "
+            f"trace defect {diag.trace_defect:.3e}, "
+            f"min eigenvalue {diag.min_eigenvalue:.3e} (tol {tol:.1e})",
+            diagnostics=diag,
+        )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A density matrix together with its per-site dimensions.
 
     Construction checks shapes and finiteness only; the hermiticity, trace
-    and positivity invariants are verified on demand via ``diagnostics`` or
-    ``validate`` because the eigensolve is costly for large systems.
+    and positivity invariants are verified on demand.  ``diagnostics``
+    always eigensolves and reports the exact smallest eigenvalue.
+    ``validate`` first tries Gershgorin's bound, O(D^2), which accepts every
+    qubit GHZ state with or without white noise and the maximally mixed
+    state; it eigensolves only a matrix the bound cannot accept (a W state,
+    a qutrit GHZ state, a random density matrix), so its verdict is always
+    the eigensolve's.
 
     The first evaluation of a state builds ``interleaved``, a read-only
     copy of ``mat`` in the site-by-site layout of the evaluation core, and
@@ -100,15 +126,7 @@ class DensityMatrix:
 
     def validate(self, tol: float = DEFAULT_DENSITY_TOL) -> None:
         """Raise StateValidationError unless this is a density matrix within tol."""
-        diag = self.diagnostics(tol)
-        if not diag.accepted:
-            raise StateValidationError(
-                "not a valid density matrix: "
-                f"hermiticity defect {diag.hermiticity_defect:.3e}, "
-                f"trace defect {diag.trace_defect:.3e}, "
-                f"min eigenvalue {diag.min_eigenvalue:.3e} (tol {tol:.1e})",
-                diagnostics=diag,
-            )
+        _require_density(self.mat, tol)
 
 
 @dataclass(frozen=True)
@@ -392,13 +410,5 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
     else:
         raise FormatError(f"{path}: expected a 'matrix' or 'vector' field")
 
-    diag = check_density(mat, tol)
-    if not diag.accepted:
-        raise StateValidationError(
-            f"{path}: not a valid density matrix: "
-            f"hermiticity defect {diag.hermiticity_defect:.3e}, "
-            f"trace defect {diag.trace_defect:.3e}, "
-            f"min eigenvalue {diag.min_eigenvalue:.3e} (tol {tol:.1e})",
-            diagnostics=diag,
-        )
+    _require_density(mat, tol, f"{path}: ")
     return DensityMatrix(dims, mat)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ksep.cli
+import ksep.linalg
 import ksep.states
 from ksep import (
     SearchConfig,
@@ -196,6 +197,13 @@ def test_eval_tolerance_flag(capsys):
         ("eval", "--family", "ghz:I,n=3", "--probe", "ghz-pair", "--k", "2"),
         ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "2", "--seed", "-1"),
         ("oracle-check", "--n", "2", "--trials", "2", "--seed", "-1"),
+        ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "2", "--tolerance", "nan"),
+        ("eval", "--family", "ghz:n=3", "--probe", "ghz-pair", "--k", "2", "--tolerance", "inf"),
+        ("detect", "--family", "ghz:n=2", "--k", "2", "--tolerance", "nan"),
+        ("detect", "--family", "ghz:n=2", "--k", "2", "--step-init", "inf"),
+        ("detect", "--family", "ghz:n=2", "--k", "2", "--eps", "inf"),
+        ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "inf"),
+        ("scan", "--family", "ghz:n=2", "--k", "2", "--tolerance=-inf"),
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
@@ -224,6 +232,19 @@ def test_negative_seed_fails_before_any_work(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err == "error: seed must be nonnegative, got -1\n"
+
+
+def test_eval_rejects_non_hermitian_state_file_with_the_eigensolve_record(capsys, tmp_path):
+    # the hermitian part is diagonally dominant, so only the hermiticity
+    # check stands between this file and acceptance
+    path = tmp_path / "nonherm.json"
+    path.write_text(json.dumps({"dims": [2], "matrix": [[[0.5, 0.0], [0.1, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]}))
+    code, out, err = run_cli(capsys, "eval", "--state", str(path), "--probe", "ghz-pair", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: not a valid density matrix: hermiticity defect 2.000e-01, "
+        "trace defect 0.000e+00, min eigenvalue 3.000e-01 (tol 1.0e-09)\n"
+    )
 
 
 def test_eval_rejects_invalid_state_file(capsys, tmp_path):
@@ -559,14 +580,30 @@ def test_each_state_is_validated_once(capsys, monkeypatch, tmp_path, source):
     path = tmp_path / "ghz3.json"
     save_state(ghz(3).to_density(), path)
     calls = []
-    check = ksep.states.check_density
+    require = ksep.states._require_density
 
-    def counting_check(*args, **kwargs):
+    def counting_require(*args, **kwargs):
         calls.append(1)
-        return check(*args, **kwargs)
+        return require(*args, **kwargs)
 
-    monkeypatch.setattr(ksep.states, "check_density", counting_check)
+    monkeypatch.setattr(ksep.states, "_require_density", counting_require)
     spec = str(path) if source == "state" else "ghz:n=3"
     code, _, _ = run_cli(capsys, "eval", f"--{source}", spec, "--probe", "ghz-pair", "--k", "2")
     assert code == 10
     assert len(calls) == 1
+
+
+def test_eval_on_a_noisy_ghz_family_runs_no_eigensolve(capsys, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(ksep.linalg.np.linalg, "eigvalsh", counting_eigvalsh)
+    code, doc, _ = run_json(
+        capsys, "eval", "--family", "noisy-ghz:n=6,p=0.8", "--probe", "ghz-pair", "--k", "2"
+    )
+    assert code == 0 and doc["report"]["verdict"] == "inconclusive"
+    assert calls == []

@@ -67,6 +67,8 @@ def test_search_config_defaults_and_json():
         {"step_decay": 1.0},
         {"seed": -1},
         {"convergence_eps": 0.0},
+        {"step_init": math.inf},
+        {"convergence_eps": math.inf},
     ],
 )
 def test_search_config_validation(kwargs):
@@ -455,6 +457,28 @@ def test_scan_bad_k_fails_before_any_search(monkeypatch):
     for bad in (0, 3):
         with pytest.raises(ParameterError):
             search_mod.scan_noise(ghz(2).to_density(), bad, 0.1, FAST)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_or_resolution_fails_before_any_work(monkeypatch, bad):
+    import ksep.criterion
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ksep.criterion, "_partition_plan", no_work)
+    monkeypatch.setattr(search, "_search_levels", no_work)
+    rho = ghz(2).to_density()
+    calls = [
+        lambda: evaluate(rho, canonical_probe(GHZ_PAIR, rho.dims), 2, bad),
+        lambda: optimize_probe(rho, 2, FAST, bad),
+        lambda: scan_noise(rho, 2, 0.1, FAST, bad),
+    ]
+    if bad > 0:
+        calls.append(lambda: scan_noise(rho, 2, bad, FAST))
+    for call in calls:
+        with pytest.raises(ParameterError, match="finite"):
+            call()
 
 
 def test_scan_never_detected_reports_top():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ksep.linalg
 from ksep import (
     DensityMatrix,
     DimensionError,
@@ -16,6 +17,7 @@ from ksep import (
     PureState,
     StateValidationError,
     WeightError,
+    check_density,
     ghz,
     load_state,
     maximally_mixed,
@@ -66,6 +68,84 @@ def test_density_matrix_properties_and_validate():
         bad.validate()
     assert err.value.diagnostics is not None
     assert err.value.diagnostics.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(ksep.linalg.np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: white_noise(ghz(10).to_density(), 0.8),
+        lambda: ghz(10).to_density(),
+        lambda: white_noise(ghz(10).to_density(), 0.3),
+        lambda: maximally_mixed((2,) * 10),
+    ],
+    ids=["noisy-ghz-n10-p0.8", "ghz-n10", "noisy-ghz-n10-p0.3", "mixed-n10"],
+)
+def test_validate_accepts_dominant_states_without_eigensolve(monkeypatch, build):
+    rho = build()
+    calls = _counting_eigvalsh(monkeypatch)
+    rho.validate()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: w_state(5).to_density(),
+        lambda: ghz(4, 3).to_density(),
+        lambda: random_density((2, 3, 2), np.random.default_rng(8)),
+    ],
+    ids=["w-n5", "ghz-n4-d3", "random-density"],
+)
+def test_validate_eigensolves_states_the_bound_cannot_accept(monkeypatch, build):
+    rho = build()
+    calls = _counting_eigvalsh(monkeypatch)
+    rho.validate()
+    assert calls == [1]
+
+
+INVALID_MATRICES = [
+    (
+        np.diag([1.5, -0.5]),
+        "hermiticity defect 0.000e+00, trace defect 0.000e+00, min eigenvalue -5.000e-01",
+    ),
+    (
+        np.array([[0.5, 0.1], [0.3, 0.5]]),
+        "hermiticity defect 2.000e-01, trace defect 0.000e+00, min eigenvalue 3.000e-01",
+    ),
+    (
+        np.diag([0.6, 0.6]),
+        "hermiticity defect 0.000e+00, trace defect 2.000e-01, min eigenvalue 6.000e-01",
+    ),
+]
+
+
+@pytest.mark.parametrize("mat, defects", INVALID_MATRICES, ids=["negative", "non-hermitian", "trace"])
+def test_rejection_carries_the_eigensolve_record(tmp_path, mat, defects):
+    mat = mat.astype(complex)
+    with pytest.raises(StateValidationError) as err:
+        DensityMatrix((2,), mat).validate()
+    assert str(err.value) == f"not a valid density matrix: {defects} (tol 1.0e-09)"
+    assert err.value.diagnostics == check_density(mat)
+
+    path = tmp_path / "bad.json"
+    rows = [[[z.real, z.imag] for z in row] for row in mat.tolist()]
+    path.write_text(json.dumps({"dims": [2], "matrix": rows}))
+    with pytest.raises(StateValidationError) as err:
+        load_state(path)
+    assert str(err.value) == f"{path}: not a valid density matrix: {defects} (tol 1.0e-09)"
+    assert err.value.diagnostics == check_density(mat)
 
 
 def test_density_matrix_rejects_tiny_dims():
