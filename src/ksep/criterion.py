@@ -43,19 +43,12 @@ import numpy as np
 from .errors import (
     DimensionError,
     FormatError,
-    GuardError,
     NormalizationError,
     NumericalError,
     ParameterError,
 )
 from .linalg import UNIT_NORM_TOL, kron_all
-from .partitions import (
-    MAX_PARTITIONS,
-    KPartition,
-    block_pairs,
-    enumerate_kpartitions,
-    stirling2,
-)
+from .partitions import KPartition, _label_rows, block_pairs
 from .states import DensityMatrix, _pair, _parse_pair
 
 DEFAULT_TOLERANCE = 1e-9
@@ -202,17 +195,16 @@ class _Plan(NamedTuple):
     expo: np.ndarray
 
 
-def _swap_masks(partitions, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit masks and exponents of the merged swap sets of ``partitions``."""
-    # labels are below k <= n, and n < 64 for int64 masks
-    rgs = np.array([part.rgs for part in partitions], dtype=np.int8)
-    rows = np.arange(len(partitions))
-    blocks = np.zeros((len(partitions), k), dtype=np.int64)
+def _swap_masks(rgs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks and exponents of the merged swap sets of the label rows ``rgs``."""
+    count, n = rgs.shape  # n < 64 for int64 masks
+    rows = np.arange(count)
+    blocks = np.zeros((count, k), dtype=np.int64)
     for site in range(n):
         # site 0 is the most significant bit
         blocks[rows, rgs[:, site]] |= 1 << (n - 1 - site)
     pairs = block_pairs(k)
-    masks = np.empty((len(partitions), len(pairs)), dtype=np.int64)
+    masks = np.empty((count, len(pairs)), dtype=np.int64)
     for col, (i, j, _mult) in enumerate(pairs):
         np.bitwise_or(blocks[:, i], blocks[:, j], out=masks[:, col])
     expo = np.array([mult for _i, _j, mult in pairs]) * (1.0 / (2.0 * k * k))
@@ -224,16 +216,11 @@ def _partition_plan(n: int, k: int) -> _Plan:
     """All partitions of n sites into k blocks with their swap-set masks.
 
     Raises ParameterError for k outside 1..n and GuardError, before
-    enumerating, when there are more than MAX_PARTITIONS partitions.
+    enumerating, past MAX_PARTITIONS.
     """
-    parts = enumerate_kpartitions(n, k)
-    count = stirling2(n, k)
-    if count > MAX_PARTITIONS:
-        raise GuardError(
-            f"{count} partitions of {n} sites into {k} blocks exceed the guard {MAX_PARTITIONS}"
-        )
-    parts = tuple(parts)
-    return _Plan(parts, *_swap_masks(parts, n, k))
+    rgs = _label_rows(n, k)
+    parts = tuple(KPartition(n, k, row) for row in rgs.tolist())
+    return _Plan(parts, *_swap_masks(rgs, k))
 
 
 @lru_cache(maxsize=64)
@@ -417,7 +404,7 @@ def partition_term(
             f"partition covers {partition.n} sites, state has {rho.site_count}"
         )
     _, weights = _probe_weights(rho, probe, cache)
-    masks, expo = _swap_masks((partition,), partition.n, partition.k)
+    masks, expo = _swap_masks(np.array([partition.rgs]), partition.k)
     return float(_terms(weights, masks, expo)[0, 0])
 
 

@@ -155,9 +155,7 @@ def oracle_evaluate(
     """
     _check_compatible(rho, probe)
     _check_guard(rho.dim)
-    n = rho.site_count
-    if not 1 <= k <= n:
-        raise ParameterError(f"block count k={k} outside 1..{n}")
+    partitions = list(enumerate_kpartitions(rho.site_count, k))
     phi1, phi2 = probe.copy_vectors()
     phi = np.kron(phi1, phi2)
     total = total_swap_operator(rho.dims)
@@ -175,7 +173,6 @@ def oracle_evaluate(
         first_real = 0.0
     first = math.sqrt(first_real)
 
-    partitions = list(enumerate_kpartitions(n, k))
     root = 1.0 / (2.0 * k * k)
     terms = []
     for part in partitions:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import GuardError, ParameterError
 
 # a swap set is just the set of site indices exchanged between the two copies
 SwapSet = frozenset
@@ -87,30 +89,41 @@ class KPartition:
 
 
 def enumerate_kpartitions(n: int, k: int) -> Iterator[KPartition]:
-    """Yield every partition of n sites into k blocks, lexicographic in rgs."""
+    """Yield every partition of n sites into k blocks, lexicographic in rgs.
+
+    Raises when called: ParameterError for k outside 1..n, GuardError past
+    MAX_PARTITIONS.
+    """
+    return (KPartition(n, k, row) for row in _label_rows(n, k).tolist())
+
+
+def _label_rows(n: int, k: int) -> np.ndarray:
+    """The label strings of every partition of n sites into k blocks, one
+    row each, lexicographic; errors as ``enumerate_kpartitions``, raised
+    before any row is built."""
     if n < 1:
         raise ParameterError(f"need at least one site, got n={n}")
     if not 1 <= k <= n:
         raise ParameterError(f"block count k={k} outside 1..{n}")
-    return _generate(n, k)
-
-
-def _generate(n: int, k: int) -> Iterator[KPartition]:
-    labels = [0] * n
-
-    def rec(pos: int, used: int) -> Iterator[KPartition]:
-        if pos == n:
-            yield KPartition(n=n, k=k, rgs=tuple(labels))
-            return
-        top = min(used, k - 1)
-        for label in range(top + 1):
-            nxt = used + 1 if label == used else used
-            # prune branches that can no longer reach k blocks
-            if k - nxt <= n - pos - 1:
-                labels[pos] = label
-                yield from rec(pos + 1, nxt)
-
-    return rec(0, 0)
+    count = stirling2(n, k)
+    if count > MAX_PARTITIONS:
+        raise GuardError(
+            f"{count} partitions of {n} sites into {k} blocks exceed the guard {MAX_PARTITIONS}"
+        )
+    dtype = np.min_scalar_type(-k)  # int8 up to k = 128
+    labels = np.arange(k)
+    rows = np.zeros((1, 1), dtype=dtype)  # site 0 always opens block 0
+    opened = np.ones(1, dtype=np.intp)
+    for pos in range(1, n):
+        # each row continues with 0..min(opened, k-1); label == opened opens a
+        # block, and a row that can no longer open k blocks is dropped
+        grown = np.maximum(opened[:, None], labels + 1)
+        keep = (labels <= opened[:, None]) & (k - grown <= n - 1 - pos)
+        # nonzero is row-major: parents in order, each parent's labels ascending
+        parent, label = np.nonzero(keep)
+        rows = np.column_stack((rows[parent], label.astype(dtype)))
+        opened = grown[parent, label]
+    return rows
 
 
 def block_pairs(k: int) -> list[tuple[int, int, int]]:
