@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -27,7 +28,16 @@ from .errors import FormatError, GuardError, KsepError, ParameterError
 from .oracle import equivalence_campaign
 from .partitions import MAX_PARTITIONS, enumerate_kpartitions, stirling2
 from .search import BASIS_PAIR, GHZ_PAIR, RANDOM, SearchConfig, canonical_probe, optimize_probe, scan_noise
-from .states import DensityMatrix, _read_json, ghz, load_state, maximally_mixed, w_state, white_noise
+from .states import (
+    DensityMatrix,
+    _check_dense_dim,
+    _read_json,
+    ghz,
+    load_state,
+    maximally_mixed,
+    w_state,
+    white_noise,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL_CHECK = 1
@@ -60,7 +70,8 @@ def _parse_family(descriptor: str) -> DensityMatrix:
 
     Families: ghz:n=N[,d=D]; w:n=N; mixed:I,n=N[,d=D];
     noisy-ghz:n=N,p=P[,d=D].  An unknown family, flag or key, a missing key
-    and a value that is not of its key's type raise FormatError.
+    and a value that is not of its key's type raise FormatError; a state of
+    dimension d^n over MAX_DENSE_DIM raises GuardError before it is built.
     """
     name, _, rest = descriptor.partition(":")
     if name not in _FAMILIES:
@@ -79,17 +90,20 @@ def _parse_family(descriptor: str) -> DensityMatrix:
     unknown = sorted(kv.keys() - keys.keys())
     if unknown:
         raise FormatError(f"family {descriptor!r}: unknown key {unknown[0]!r}")
-    values = []
+    values = {}
     for key, (kind, default) in keys.items():
         if key not in kv and default is None:
             raise FormatError(f"family {descriptor!r}: missing {key}=...")
         try:
-            values.append(kind(kv[key]) if key in kv else default)
+            values[key] = kind(kv[key]) if key in kv else default
         except ValueError:
             raise FormatError(
                 f"family {descriptor!r}: {key}={kv[key]!r} is not {_TYPE_NOUNS[kind]}"
             ) from None
-    return build(*values)
+    d = values.get("d", 2)
+    if d >= 2:  # a smaller d is the builder's to report
+        _check_dense_dim(itertools.repeat(d, values["n"]), f"family {descriptor!r}: ")
+    return build(*values.values())
 
 
 def _load_state_arg(args) -> tuple[DensityMatrix, str]:

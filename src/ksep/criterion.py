@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import UNIT_NORM_TOL, kron_all
 from .partitions import KPartition, _label_rows, block_pairs
-from .states import DensityMatrix, _pair, _parse_pair
+from .states import DensityMatrix, _pairs, _parse_pair
 
 DEFAULT_TOLERANCE = 1e-9
 # diagonal expectation values this far below zero are treated as rounding
@@ -117,10 +117,7 @@ class ProductProbe:
 
     def to_json_dict(self) -> dict:
         """Factors as ``[re, im]`` pairs, the probe file format."""
-        return {
-            "u": [[_pair(z) for z in f] for f in self.u],
-            "v": [[_pair(z) for z in f] for f in self.v],
-        }
+        return {"u": [_pairs(f) for f in self.u], "v": [_pairs(f) for f in self.v]}
 
     @classmethod
     def from_json_dict(cls, doc, dims) -> "ProductProbe":

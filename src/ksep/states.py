@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     FormatError,
+    GuardError,
     NormalizationError,
     ParameterError,
     StateValidationError,
@@ -34,6 +35,11 @@ from .linalg import (
 
 WEIGHT_SUM_TOL = 1e-12
 
+# largest state dimension D the command line builds or reads densely: at
+# D = 8192 one D x D complex array is 1 GiB, and a noisy GHZ state holds
+# about five of them while it is built
+MAX_DENSE_DIM = 4096
+
 
 def _checked_dims(dims) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
@@ -42,6 +48,20 @@ def _checked_dims(dims) -> tuple[int, ...]:
     if any(d < 2 for d in out):
         raise ParameterError(f"every site dimension must be >= 2, got {out}")
     return out
+
+
+def _check_dense_dim(dims, where: str = "") -> None:
+    """Raise GuardError when a dense state on sites of dimensions ``dims``
+    (any iterable of ints >= 2, read only as far as needed) would be larger
+    than MAX_DENSE_DIM."""
+    dim = 1
+    for site, d in enumerate(dims):
+        dim *= d
+        if dim > MAX_DENSE_DIM:
+            raise GuardError(
+                f"{where}state dimension exceeds the guard {MAX_DENSE_DIM}: "
+                f"sites 0..{site} already give {dim}"
+            )
 
 
 def _require_density(mat: np.ndarray, tol: float, where: str = "") -> None:
@@ -327,29 +347,30 @@ def random_density(dims, rng: np.random.Generator) -> DensityMatrix:
 # save followed by load reproduces the matrix bit for bit.
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists with one ``[re, im]`` pair per entry."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def save_state(state: DensityMatrix, path) -> None:
     """Write a density matrix as JSON (see the format note above)."""
-    doc = {
-        "dims": list(state.dims),
-        "matrix": [[_pair(z) for z in row] for row in state.mat],
-    }
+    doc = {"dims": list(state.dims), "matrix": _pairs(state.mat)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # dumps runs the C encoder; dump to a file would take the pure-Python one
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _parse_pair(entry, where: str) -> complex:
     if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
-        raise FormatError(f"{where}: expected a [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+        try:
+            return complex(float(entry[0]), float(entry[1]))
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise FormatError(f"{where}: expected a [re, im] pair, got {entry!r}")
 
 
 def _read_json(path):
@@ -361,6 +382,8 @@ def _read_json(path):
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -384,6 +407,7 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
         raise FormatError(f"{path}: field 'dims' must be a nonempty list of integers")
     if any(d < 2 for d in dims_field):
         raise FormatError(f"{path}: field 'dims' entries must be >= 2, got {dims_field}")
+    _check_dense_dim(dims_field, f"{path}: ")
     dims = tuple(dims_field)
     d = math.prod(dims)
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ksep.cli
 import ksep.linalg
+import ksep.oracle
 import ksep.states
 from ksep import (
     SearchConfig,
@@ -26,6 +29,9 @@ from ksep import (
 )
 from ksep.cli import main
 from ksep.search import RANDOM, canonical_probe
+
+# files holding a 401-digit integer, which no float can hold
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -204,12 +210,29 @@ def test_eval_tolerance_flag(capsys):
         ("detect", "--family", "ghz:n=2", "--k", "2", "--eps", "inf"),
         ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "inf"),
         ("scan", "--family", "ghz:n=2", "--k", "2", "--tolerance=-inf"),
+        ("eval", "--family", "ghz:n=40", "--probe", "ghz-pair", "--k", "2"),
+        ("eval", "--state", str(DATA / "overflow_state.json"), "--probe", "ghz-pair", "--k", "2"),
+        ("eval", "--family", "ghz:n=2", "--probe", str(DATA / "overflow_probe.json"), "--k", "2"),
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "family", ["ghz:n=13", "ghz:n=40", "ghz:n=8,d=3", "w:n=13", "mixed:I,n=40", "noisy-ghz:n=13,p=0.5"]
+)
+def test_dense_state_past_the_guard_is_refused_before_it_is_built(capsys, monkeypatch, family):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the guard must come first")
+
+    for name in ("ghz", "w_state", "maximally_mixed", "white_noise"):
+        monkeypatch.setattr(ksep.cli, name, no_work)
+    code, out, err = run_cli(capsys, "eval", "--family", family, "--probe", "ghz-pair", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: family {family!r}: state dimension exceeds the guard 4096")
 
 
 @pytest.mark.parametrize(
@@ -402,6 +425,24 @@ def test_oracle_check_passes(capsys):
     assert summary["trials"] == 5
     assert summary["comparisons"] == 10  # S(2,1) + S(2,2) per trial
     assert summary["max_lhs_deviation"] <= 1e-10
+
+
+def test_oracle_check_fails_on_a_partition_mismatch(capsys, monkeypatch):
+    # the campaign has no assert: an oracle that lists the partitions in
+    # another order fails it, also under python -O
+    honest = ksep.oracle.oracle_evaluate
+
+    def reordered(rho, probe, k, *args, **kwargs):
+        report = honest(rho, probe, k, *args, **kwargs)
+        parts, values = zip(*report.partition_terms)
+        return dataclasses.replace(report, partition_terms=tuple(zip(parts[::-1], values)))
+
+    monkeypatch.setattr(ksep.oracle, "oracle_evaluate", reordered)
+    code, doc, err = run_json(capsys, "oracle-check", "--n", "3", "--dmax", "2", "--trials", "2")
+    assert code == 1
+    assert doc["summary"]["passed"] is False
+    assert doc["summary"]["max_term_deviation"] == math.inf
+    assert err.startswith("oracle-check FAILED: max term deviation inf")
 
 
 def test_oracle_check_csv(capsys):

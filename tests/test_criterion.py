@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -123,6 +124,7 @@ def _probe_doc(**fields):
         (_probe_doc(u=[[[1.0, 0.0], [0.0]]] * 2), FormatError),  # not a pair
         (_probe_doc(u=[[[True, 0.0], [0.0, 0.0]]] * 2), FormatError),  # bool entry
         (_probe_doc(u=[[[2.0, 0.0], [0.0, 0.0]]] * 2), NormalizationError),
+        (_probe_doc(u=[[[10**400, 0], [0, 0]]] * 2), FormatError),  # no float holds it
     ],
 )
 def test_probe_json_rejects_malformed_documents(doc, error):
@@ -594,3 +596,52 @@ def test_noisy_ghz3_matches_closed_form():
         a = (1.0 - p) / 8.0
         expected = p / 2.0 - 3.0 * math.sqrt(a) * math.sqrt(a + p / 2.0)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _three_block_partitions(n):
+    """Every partition of sites 0..n-1 into three nonempty blocks, from all
+    3^n labellings, independently of the package's enumerator."""
+    out = set()
+    for labels in itertools.product(range(3), repeat=n):
+        blocks = frozenset(frozenset(s for s in range(n) if labels[s] == b) for b in range(3))
+        if frozenset() not in blocks:
+            out.add(blocks)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_k2_and_k3_match_their_closed_forms(n):
+    # third referee: with f(S) = W[S] W[complement of S], read from the
+    # cache, merging the swap sets of a partition (the union of two blocks
+    # is the complement of the rest) gives
+    #   k=2: lhs = first - f(all)^(1/4) * sum over S with 0 in S, S != all, of f(S)^(1/4)
+    #   k=3: lhs = first - sum over 3-block partitions of prod_i f(B_i)^(1/6)
+    rng = np.random.default_rng(4200 + n)
+    sites = frozenset(range(n))
+    halves = [
+        frozenset({0} | {s for s in range(1, n) if bits >> (s - 1) & 1})
+        for bits in range(2 ** (n - 1) - 1)
+    ]
+    triples = _three_block_partitions(n)
+    assert len(triples) == (3**n - 3 * 2**n + 3) // 6
+    noisy = white_noise(ghz(n).to_density(), 0.7)
+    cases = [
+        (random_density((2,) * n, rng), _random_probe((2,) * n, rng)),
+        (noisy, _random_probe((2,) * n, rng)),
+        (noisy, canonical_probe(GHZ_PAIR, (2,) * n)),
+    ]
+    for rho, probe in cases:
+        for k in (2, 3):
+            cache: dict = {}
+            report = evaluate(rho, probe, k, cache=cache)
+
+            def f(s):
+                a, b = cache[frozenset(s)]
+                return a * b
+
+            if k == 2:
+                terms = [f(sites) ** 0.25 * f(s) ** 0.25 for s in halves]
+            else:
+                terms = [math.prod(f(b) ** (1 / 6) for b in blocks) for blocks in triples]
+            expected = report.first_term - math.fsum(terms)
+            assert abs(report.lhs - expected) <= 1e-12 * (report.first_term + math.fsum(terms))

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksep import (
+    GuardError,
     KPartition,
     ParameterError,
     enumerate_kpartitions,
     stirling2,
     swap_sets,
 )
+from ksep.partitions import _label_rows
 
 
 def _brute_force_partitions(n, k):
@@ -76,6 +81,31 @@ def test_enumeration_is_lexicographic():
 
 def test_enumeration_count_n10():
     assert sum(1 for _ in enumerate_kpartitions(10, 2)) == stirling2(10, 2) == 511
+
+
+def test_enumeration_guard_raises_when_called():
+    # S(12, 6) = 1 323 652 is past the guard: refused at the call, before
+    # any row or partition is built
+    for call in (_label_rows, enumerate_kpartitions):
+        started = time.perf_counter()
+        with pytest.raises(GuardError, match="1323652 partitions of 12 sites into 6 blocks"):
+            call(12, 6)
+        assert time.perf_counter() - started < 1.0
+
+
+def test_label_rows_are_the_enumerated_strings():
+    rows = _label_rows(10, 5)
+    assert rows.dtype == np.int8 and rows.shape == (42525, 10)
+    assert [tuple(row) for row in rows.tolist()] == [p.rgs for p in enumerate_kpartitions(10, 5)]
+
+
+@pytest.mark.parametrize("n,k", [(129, 128), (130, 129)])
+def test_enumeration_past_int8_labels(n, k):
+    # label 127 is the last an int8 holds; S(n, n-1) = C(n, 2)
+    assert _label_rows(n, k).dtype == (np.int8 if k <= 128 else np.int16)
+    rgs = [p.rgs for p in enumerate_kpartitions(n, k)]
+    assert len(rgs) == len(set(rgs)) == math.comb(n, 2)
+    assert rgs == sorted(rgs)
 
 
 def test_enumeration_rejects_bad_arguments():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksep.linalg
+import ksep.states
 from ksep import (
     DensityMatrix,
     DimensionError,
     FormatError,
+    GuardError,
     NormalizationError,
     ParameterError,
     PureState,
@@ -405,6 +408,7 @@ def test_load_rejects_missing_file(tmp_path):
         {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, "x"]], [[0.0, 0.0], [0.0, 0.0]]]},
         {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, True]], [[0.0, 0.0], [0.0, 0.0]]]},
         {"dims": [2], "vector": [[1.0, 0.0]]},  # wrong length
+        {"dims": [2], "matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]},  # no float holds it
     ],
 )
 def test_load_rejects_bad_documents(tmp_path, doc):
@@ -425,3 +429,55 @@ def test_load_rejects_invalid_density(tmp_path):
         load_state(path)
     assert err.value.diagnostics is not None
     assert not err.value.diagnostics.accepted
+
+
+def test_load_rejects_unreadable_numbers_and_text(tmp_path):
+    # an integer past Python's 4300-digit limit, and bytes that are not UTF-8
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [2], "vector": [[1' + "0" * 5000 + ', 0], [0, 0]]}')
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load_state(path)
+    path.write_bytes(b'{"dims": [2], "vector": [[1, 0], [0, 0]]} \xff')
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load_state(path)
+
+
+def test_save_state_writes_the_per_entry_format(tmp_path):
+    # one [re, im] pair per entry, floats by repr, a -0.0 kept, one line
+    rho = random_density((2, 3), np.random.default_rng(12))
+    mat = rho.mat.copy()
+    mat[0, 1] = complex(-0.0, mat[0, 1].imag)
+    mat[1, 0] = complex(-0.0, -mat[0, 1].imag)
+    rho = DensityMatrix((2, 3), mat)
+    path = tmp_path / "state.json"
+    save_state(rho, path)
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in rho.mat]
+    assert path.read_text() == json.dumps({"dims": [2, 3], "matrix": rows}) + "\n"
+    assert "-0.0" in path.read_text()
+
+
+def test_dense_dimension_guard_reads_only_what_it_needs():
+    for dims in ((2,) * 12, (4,) * 6, (3, 3, 3, 3, 3, 3, 5)):  # 4096, 4096, 3645
+        ksep.states._check_dense_dim(dims)
+    for dims in ((2,) * 13, (3,) * 8, (4096, 2), itertools.repeat(2)):
+        with pytest.raises(GuardError, match="exceeds the guard 4096"):
+            ksep.states._check_dense_dim(dims)
+
+
+@pytest.mark.parametrize("dims", [[2] * 13, [2] * 40, [3] * 8, [2] * 20])
+@pytest.mark.parametrize("field", ["matrix", "vector"])
+def test_load_refuses_a_dense_state_past_the_guard(tmp_path, monkeypatch, dims, field):
+    # refused after reading dims, before any entry is parsed or a matrix built
+    def no_work(*args, **kwargs):
+        raise AssertionError("the guard must come first")
+
+    monkeypatch.setattr(ksep.states, "_parse_pair", no_work)
+    monkeypatch.setattr(ksep.states, "_require_density", no_work)
+    monkeypatch.setattr(ksep.states, "DensityMatrix", no_work)
+    count = math.prod(dims) if math.prod(dims) <= 8192 else 1
+    entries = [[1.0, 0.0]] + [[0.0, 0.0]] * (count - 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": dims, field: entries if field == "vector" else [entries]}))
+    with pytest.raises(GuardError) as err:
+        load_state(path)
+    assert str(err.value).startswith(f"{path}: state dimension exceeds the guard 4096")
