@@ -28,16 +28,7 @@ from .errors import FormatError, GuardError, KsepError, ParameterError
 from .oracle import equivalence_campaign
 from .partitions import MAX_PARTITIONS, enumerate_kpartitions, stirling2
 from .search import BASIS_PAIR, GHZ_PAIR, RANDOM, SearchConfig, canonical_probe, optimize_probe, scan_noise
-from .states import (
-    DensityMatrix,
-    _check_dense_dim,
-    _read_json,
-    ghz,
-    load_state,
-    maximally_mixed,
-    w_state,
-    white_noise,
-)
+from .states import DensityMatrix, _check_dense_dim, _read_json, ghz, load_state, maximally_mixed, w_state, white_noise
 
 EXIT_OK = 0
 EXIT_INTERNAL_CHECK = 1
