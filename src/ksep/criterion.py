@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import UNIT_NORM_TOL, kron_all
-from .partitions import KPartition, _label_rows, block_pairs
+from .partitions import KPartition, _label_rows, _notations, _partitions_of, block_pairs
 from .states import DensityMatrix, _pairs, _parse_pair
 
 DEFAULT_TOLERANCE = 1e-9
@@ -169,13 +169,14 @@ class CriterionReport:
         return self.verdict == NOT_K_SEPARABLE
 
     def to_json_dict(self) -> dict:
+        notations = _notations([part.rgs for part, _value in self.partition_terms])
         return {
             "k": self.k,
             "lhs": self.lhs,
             "first_term": self.first_term,
             "terms": [
-                {"partition": part.notation(), "value": value}
-                for part, value in self.partition_terms
+                {"partition": notation, "value": value}
+                for notation, (_part, value) in zip(notations, self.partition_terms)
             ],
             "verdict": self.verdict,
             "tolerance": self.tolerance,
@@ -216,8 +217,7 @@ def _partition_plan(n: int, k: int) -> _Plan:
     enumerating, past MAX_PARTITIONS.
     """
     rgs = _label_rows(n, k)
-    parts = tuple(KPartition(n, k, row) for row in rgs.tolist())
-    return _Plan(parts, *_swap_masks(rgs, k))
+    return _Plan(tuple(_partitions_of(n, k, rgs)), *_swap_masks(rgs, k))
 
 
 @lru_cache(maxsize=64)

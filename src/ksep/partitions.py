@@ -23,6 +23,11 @@ SwapSet = frozenset
 # is refused, S(10, 5) = 42 525 is fine
 MAX_PARTITIONS = 1_000_000
 
+# rows turned into Python objects at a time by a bulk conversion (label
+# rows here, report terms in the CLI writer), which keeps its short-lived
+# objects to a few tens of KB and so off the peak resident memory
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class KPartition:
@@ -62,7 +67,7 @@ class KPartition:
 
     def notation(self) -> str:
         """Compact block notation, e.g. ``"0,1|2"``."""
-        return "|".join(",".join(str(s) for s in block) for block in self.blocks())
+        return _notations([self.rgs])[0]
 
     @classmethod
     def from_blocks(cls, blocks) -> "KPartition":
@@ -94,7 +99,53 @@ def enumerate_kpartitions(n: int, k: int) -> Iterator[KPartition]:
     Raises when called: ParameterError for k outside 1..n, GuardError past
     MAX_PARTITIONS.
     """
-    return (KPartition(n, k, row) for row in _label_rows(n, k).tolist())
+    return _partitions_of(n, k, _label_rows(n, k))
+
+
+def _partitions_of(n: int, k: int, rows: np.ndarray) -> Iterator[KPartition]:
+    """A ``KPartition`` per row of ``_label_rows(n, k)``, without the checks
+    of ``__post_init__``: those rows are restricted growth strings by
+    construction.  Fields are set the way the frozen dataclass's ``__init__``
+    sets them, so no instance dict is materialised."""
+    new, put = object.__new__, object.__setattr__
+    for start in range(0, len(rows), _CHUNK):
+        for row in rows[start : start + _CHUNK].tolist():
+            part = new(KPartition)
+            put(part, "n", n)
+            put(part, "k", k)
+            put(part, "rgs", tuple(row))
+            yield part
+
+
+def _notations(rows) -> list[str]:
+    """``KPartition.notation`` of every restricted growth string in ``rows``
+    (one per row, all of the same length), built from the label array.
+
+    A stable argsort of a row lists its sites block by block, ascending
+    within each block; neighbours with equal labels are joined by ``","``,
+    the others by ``"|"``.  Every row has the same characters in another
+    order, so the rows are cut from one code-point array per chunk.
+    """
+    if not len(rows):
+        return []
+    n = len(rows[0])
+    rows = np.asarray(rows, dtype=np.min_scalar_type(-n))  # labels are < n
+    names = np.array([str(site) for site in range(n)])
+    wide = names.itemsize // 4
+    # site names as code points, zero-padded to the widest name
+    names = names.view(np.uint32).reshape(n, wide)
+    length = int(np.count_nonzero(names)) + n - 1
+    out: list[str] = []
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start : start + _CHUNK]
+        order = np.argsort(chunk, axis=1, kind="stable")
+        labels = np.take_along_axis(chunk, order, axis=1)
+        # each site name, then its separator (none after the last site)
+        cells = np.zeros((len(chunk), n, wide + 1), dtype=np.uint32)
+        cells[:, :, :wide] = names[order]
+        cells[:, :-1, wide] = np.where(labels[:, 1:] == labels[:, :-1], ord(","), ord("|"))
+        out += cells[cells != 0].view(f"U{length}").tolist()
+    return out
 
 
 def _label_rows(n: int, k: int) -> np.ndarray:

@@ -616,6 +616,62 @@ def test_csv_rows_are_the_json_values(capsys, case):
     assert rows == [[_cell(v) for v in row] for row in rows_of(doc)]
 
 
+# argv whose documents the templated writer must encode as json.dumps does;
+# S(8, 4) = 1701 terms span several writer chunks
+DUMPS_CASES = [
+    *(
+        ("eval", "--family", "noisy-ghz:n=4,p=0.8", "--probe", "random", "--k", str(k), "--seed", "7")
+        for k in range(1, 5)
+    ),
+    ("eval", "--family", "noisy-ghz:n=8,p=0.8", "--probe", "random", "--k", "4"),
+    *(argv for argv, _, _ in WRITER_CASES.values() if "--count-only" not in argv),
+]
+
+
+def _written_docs(capsys, monkeypatch, argvs):
+    """The document ``main`` hands to the writer for each argv, with its stdout."""
+    docs = []
+    dumps = ksep.cli._dumps
+    with monkeypatch.context() as patch:
+        patch.setattr(ksep.cli, "_dumps", lambda doc: docs.append(doc) or dumps(doc))
+        outs = [run_cli(capsys, *argv)[1] for argv in argvs]
+    assert len(docs) == len(argvs)
+    return docs, outs
+
+
+def test_templated_writer_is_json_dumps(capsys, monkeypatch):
+    docs, outs = _written_docs(capsys, monkeypatch, DUMPS_CASES)
+    assert sorted({doc["manifest"]["command"] for doc in docs}) == [
+        "detect", "eval", "oracle-check", "partitions", "scan",
+    ]
+    assert [len(doc["report"]["terms"]) for doc in docs[:5]] == [1, 7, 6, 1, 1701]
+    for doc, out in zip(docs, outs):
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert ksep.cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_templated_writer_skips_the_encoder_for_terms(capsys, monkeypatch):
+    docs, _ = _written_docs(capsys, monkeypatch, DUMPS_CASES[:5])
+    dumps = json.dumps
+
+    def terms_free_dumps(obj, **kwargs):
+        assert not (isinstance(obj, dict) and isinstance(obj["report"]["terms"], list))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(ksep.cli.json, "dumps", terms_free_dumps)
+    for doc in docs:
+        assert ksep.cli._dumps(doc) == dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_templated_writer_falls_back_on_a_nonfinite_term(capsys, monkeypatch, bad):
+    (doc,), _ = _written_docs(capsys, monkeypatch, DUMPS_CASES[1:2])
+    doc["report"]["terms"][3]["value"] = bad
+    text = ksep.cli._dumps(doc)
+    assert text == json.dumps(doc, indent=2)
+    assert json.dumps(bad) in text  # NaN, Infinity, -Infinity: never repr's nan or inf
+
+
 @pytest.mark.parametrize("source", ["state", "family"])
 def test_each_state_is_validated_once(capsys, monkeypatch, tmp_path, source):
     path = tmp_path / "ghz3.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 
@@ -16,7 +17,8 @@ from ksep import (
     stirling2,
     swap_sets,
 )
-from ksep.partitions import _label_rows
+from ksep.criterion import _partition_plan
+from ksep.partitions import _label_rows, _notations
 
 
 def _brute_force_partitions(n, k):
@@ -140,6 +142,45 @@ def test_notation_roundtrip_through_from_blocks():
     rebuilt = KPartition.from_blocks([(3,), (1, 4), (0, 2)])
     assert rebuilt == part
     assert rebuilt.notation() == "0,2|1,4|3"
+
+
+def _reference_notation(row, names):
+    """Blocks in order of first use, sites ascending, written out by hand;
+    ``names[site]`` is the site's decimal name."""
+    blocks: dict[int, list[str]] = {}
+    for name, label in zip(names, row):
+        blocks.setdefault(label, []).append(name)
+    return "|".join(",".join(block) for block in blocks.values())
+
+
+# every 1 <= k <= n <= 9, and two-digit site names at n = 12, 15, 20
+NOTATION_CASES = [(n, k) for n in range(1, 10) for k in range(1, n + 1)] + [
+    (n, k) for n in (12, 15, 20) for k in (1, 2, n - 1)
+]
+
+
+@pytest.mark.parametrize("n,k", NOTATION_CASES)
+def test_bulk_notations_match_a_reference(n, k):
+    labels = _label_rows(n, k)
+    rows = labels.tolist()
+    names = [str(site) for site in range(n)]
+    want = [_reference_notation(row, names) for row in rows]
+    assert _notations(labels) == want
+    # one row at a time, through the public method, on up to ~200 rows
+    step = max(1, len(rows) // 200)
+    assert [KPartition(n, k, row).notation() for row in rows[::step]] == want[::step]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trusted_partitions_equal_validated_ones(n):
+    for k in range(1, n + 1):
+        want = [KPartition(n, k, row) for row in _label_rows(n, k).tolist()]
+        for got in (_partition_plan(n, k).partitions, list(enumerate_kpartitions(n, k))):
+            assert list(got) == want
+            assert [hash(part) for part in got] == [hash(part) for part in want]
+            assert all(type(part.rgs) is tuple for part in got)
+            assert all(type(label) is int for part in got for label in part.rgs)
+            assert json.dumps([part.rgs for part in got]) == json.dumps([part.rgs for part in want])
 
 
 def test_from_blocks_rejects_bad_covers():
