@@ -17,6 +17,7 @@ from ksep import (
     GuardError,
     NormalizationError,
     ParameterError,
+    ProductProbe,
     PureState,
     StateValidationError,
     WeightError,
@@ -481,3 +482,63 @@ def test_load_refuses_a_dense_state_past_the_guard(tmp_path, monkeypatch, dims, 
     with pytest.raises(GuardError) as err:
         load_state(path)
     assert str(err.value).startswith(f"{path}: state dimension exceeds the guard 4096")
+
+
+# one-qubit matrix rows and probe factors; each case breaks one of them
+_ROW0, _ROW1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+_E0, _E1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+_PAIR = "expected a [re, im] pair, got"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ({"dims": [2], "matrix": {"a": 1}}, "{path}: field 'matrix' must be a 2x2 array, got dict rows"),
+        ({"dims": [2], "matrix": [_ROW0]}, "{path}: field 'matrix' must be a 2x2 array, got 1 rows"),
+        ({"dims": [2], "matrix": [_ROW0, "ab"]}, "{path}: matrix row 1 must have 2 entries"),
+        ({"dims": [2], "matrix": [_ROW0, _ROW1 * 2]}, "{path}: matrix row 1 must have 2 entries"),
+        ({"dims": [2], "matrix": [_ROW0, [[0.0, 0.0], [0.0]]]}, f"{{path}}: matrix entry (1, 1): {_PAIR} [0.0]"),
+        ({"dims": [2], "matrix": [[[1.0, 0.0], [0.0, "1.5"]], _ROW1]}, f"{{path}}: matrix entry (0, 1): {_PAIR} [0.0, '1.5']"),
+        ({"dims": [2], "matrix": [_ROW0, [[True, 0.0], [0.0, 0.0]]]}, f"{{path}}: matrix entry (1, 0): {_PAIR} [True, 0.0]"),
+        ({"dims": [2], "matrix": [_ROW0, [[0.0, None], [0.0, 0.0]]]}, f"{{path}}: matrix entry (1, 0): {_PAIR} [0.0, None]"),
+        ({"dims": [2], "matrix": [[[1.0, 0.0], [[0, 0], 0]], _ROW1]}, f"{{path}}: matrix entry (0, 1): {_PAIR} [[0, 0], 0]"),
+        ({"dims": [2], "matrix": [[[1.0, 0.0], 0.0], _ROW1]}, f"{{path}}: matrix entry (0, 1): {_PAIR} 0.0"),
+        ({"dims": [2], "matrix": [[[1.0, 0.0], [0, 10**400]], _ROW1]}, f"{{path}}: matrix entry (0, 1): {_PAIR} [0, {10**400}]"),
+        # two faults: the first entry in reading order, and a row before the entries after it
+        ({"dims": [2], "matrix": [[[1.0], [0.0, True]], _ROW1]}, f"{{path}}: matrix entry (0, 0): {_PAIR} [1.0]"),
+        ({"dims": [2], "matrix": [[[1.0, 0.0], [0.0]], [_ROW1[0]]]}, f"{{path}}: matrix entry (0, 1): {_PAIR} [0.0]"),
+        ({"dims": [2], "matrix": [[_ROW0[0]], [[0.0, 0.0], [0.0]]]}, "{path}: matrix row 0 must have 2 entries"),
+        ({"dims": [2], "vector": [[1.0, 0.0]]}, "{path}: field 'vector' must have 2 entries, got 1"),
+        ({"dims": [2], "vector": "ab"}, "{path}: field 'vector' must have 2 entries, got str"),
+        ({"dims": [2], "vector": [[1.0, 0.0], [0, None]]}, f"{{path}}: vector entry 1: {_PAIR} [0, None]"),
+        ({"dims": [2, 2], "vector": [[1.0, 0.0], [0, 0], [0, 0], [0, 0, 0]]}, f"{{path}}: vector entry 3: {_PAIR} [0, 0, 0]"),
+    ],
+)
+def test_state_file_errors_name_the_first_fault(tmp_path, case):
+    doc, message = case
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as err:
+        load_state(path)
+    assert str(err.value) == message.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ({"u": [_E0, _E0]}, "probe file needs 'u' and 'v' fields"),
+        ({"u": [_E0, _E0], "v": [_E1]}, "field 'v' must list one factor per site (2 sites)"),
+        ({"u": [_E0, _E0 + _E0[:1]], "v": [_E1, _E1]}, "u[1] must have 2 [re, im] entries"),
+        ({"u": [_E0, _E0], "v": [_E1, "ab"]}, "v[1] must have 2 [re, im] entries"),
+        ({"u": [_E0, [[1.0, 0.0], [0.0, True]]], "v": [_E1, _E1]}, f"u[1][1]: {_PAIR} [0.0, True]"),
+        ({"u": [_E0, _E0], "v": [[[0.0, 0.0], [10**400, 0]], _E1]}, f"v[0][1]: {_PAIR} [{10**400}, 0]"),
+        # u is read before v, and the first bad entry of a factor is reported
+        ({"u": [_E0, [[1.0], [None, 0]]], "v": [_E1, [[0]]]}, f"u[1][0]: {_PAIR} [1.0]"),
+    ],
+)
+def test_probe_file_errors_name_the_first_fault(case):
+    doc, message = case
+    with pytest.raises(FormatError) as err:
+        ProductProbe.from_json_dict(doc, (2, 2))
+    assert str(err.value) == message
+
