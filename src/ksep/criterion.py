@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import UNIT_NORM_TOL, kron_all
 from .partitions import KPartition, _label_rows, _notations, _partitions_of, block_pairs
-from .states import DensityMatrix, _pairs, _parse_pair
+from .states import DensityMatrix, _complex_entries, _pairs
 
 DEFAULT_TOLERANCE = 1e-9
 # diagonal expectation values this far below zero are treated as rounding
@@ -140,9 +140,7 @@ class ProductProbe:
             for m, factor in enumerate(factors):
                 if not isinstance(factor, list) or len(factor) != dims[m]:
                     raise FormatError(f"{key}[{m}] must have {dims[m]} [re, im] entries")
-                out.append(
-                    np.array([_parse_pair(e, f"{key}[{m}][{i}]") for i, e in enumerate(factor)])
-                )
+                out.append(_complex_entries(factor, lambda i: f"{key}[{m}][{i}]"))
             return tuple(out)
 
         return cls(parse_copy("u"), parse_copy("v"))

@@ -12,6 +12,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -373,6 +374,20 @@ def _parse_pair(entry, where: str) -> complex:
     raise FormatError(f"{where}: expected a [re, im] pair, got {entry!r}")
 
 
+def _complex_entries(entries: list, where) -> np.ndarray:
+    """``[re, im]`` pairs as a complex vector, bit for bit as ``_parse_pair``
+    reads them; the first entry ``i`` it refuses raises, named ``where(i)``."""
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, 10**400
+        pairs = np.empty(0)
+    # exact types: np.array alone also takes True, "1.5", None and any sequence
+    types = map(type, chain(entries, chain.from_iterable(entries)))
+    if pairs.shape == (len(entries), 2) and {list, tuple, int, float}.issuperset(types):
+        return pairs.view(np.complex128)[:, 0]
+    return np.array([_parse_pair(e, where(i)) for i, e in enumerate(entries)], dtype=np.complex128)
+
+
 def _read_json(path):
     """The decoded JSON document in ``path``; FormatError if unreadable or invalid."""
     try:
@@ -420,16 +435,13 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != d:
                 raise FormatError(f"{path}: matrix row {i} must have {d} entries")
-            for j, entry in enumerate(row):
-                mat[i, j] = _parse_pair(entry, f"{path}: matrix entry ({i}, {j})")
+            mat[i] = _complex_entries(row, lambda j: f"{path}: matrix entry ({i}, {j})")
     elif "vector" in doc:
         entries = doc["vector"]
         if not isinstance(entries, list) or len(entries) != d:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
             raise FormatError(f"{path}: field 'vector' must have {d} entries, got {got}")
-        vec = np.empty(d, dtype=np.complex128)
-        for i, entry in enumerate(entries):
-            vec[i] = _parse_pair(entry, f"{path}: vector entry {i}")
+        vec = _complex_entries(entries, lambda i: f"{path}: vector entry {i}")
         mat = np.outer(vec, vec.conj())
     else:
         raise FormatError(f"{path}: expected a 'matrix' or 'vector' field")
