@@ -87,7 +87,7 @@ class ProductProbe:
                         f"probe factor {copy_name}[{m}] has shape {f.shape}, expected a vector of dimension >= 2"
                     )
                 norm = math.sqrt(np.vdot(f, f).real)
-                if abs(norm - 1.0) > UNIT_NORM_TOL:
+                if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
                     raise NormalizationError(
                         f"probe factor {copy_name}[{m}] has norm {norm!r}, expected 1"
                     )

@@ -30,7 +30,7 @@ from ksep import (
 from ksep.cli import main
 from ksep.search import RANDOM, canonical_probe
 
-# files holding a 401-digit integer, which no float can hold
+# files holding a 401-digit integer, which no float can hold, or a NaN
 DATA = Path(__file__).parent / "data"
 
 
@@ -213,6 +213,7 @@ def test_eval_tolerance_flag(capsys):
         ("eval", "--family", "ghz:n=40", "--probe", "ghz-pair", "--k", "2"),
         ("eval", "--state", str(DATA / "overflow_state.json"), "--probe", "ghz-pair", "--k", "2"),
         ("eval", "--family", "ghz:n=2", "--probe", str(DATA / "overflow_probe.json"), "--k", "2"),
+        ("eval", "--family", "ghz:n=2", "--probe", str(DATA / "nan_probe.json"), "--k", "2"),
     ],
 )
 def test_bad_inputs_exit_2(capsys, argv):

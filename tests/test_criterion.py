@@ -125,6 +125,8 @@ def _probe_doc(**fields):
         (_probe_doc(u=[[[True, 0.0], [0.0, 0.0]]] * 2), FormatError),  # bool entry
         (_probe_doc(u=[[[2.0, 0.0], [0.0, 0.0]]] * 2), NormalizationError),
         (_probe_doc(u=[[[10**400, 0], [0, 0]]] * 2), FormatError),  # no float holds it
+        (_probe_doc(u=[[[math.nan, 0.0], [0.0, 0.0]]] * 2), NormalizationError),  # NaN norm
+        (_probe_doc(u=[[[1e400, 0.0], [0.0, 0.0]]] * 2), NormalizationError),  # inf, as json reads 1e400
     ],
 )
 def test_probe_json_rejects_malformed_documents(doc, error):
