@@ -542,3 +542,49 @@ def test_probe_file_errors_name_the_first_fault(case):
         ProductProbe.from_json_dict(doc, (2, 2))
     assert str(err.value) == message
 
+
+# signed zeros, an int, ints that round (2**53 + 1) or exceed int64, the
+# smallest subnormal, the largest float, and infinities (json reads 1e400 so)
+_EDGE_NUMBERS = [-0.0, 0, 2**53 + 1, 2**70, -(2**70), 5e-324, -5e-324, 1.7976931348623157e308, 1e400, -1e400]
+
+
+def test_pair_reader_is_bit_identical_to_per_entry_floats():
+    def no_location(i):
+        raise AssertionError(f"entry {i} was read one at a time")
+
+    entries = [[re, im] for re in _EDGE_NUMBERS for im in _EDGE_NUMBERS]
+    want = np.array([complex(float(re), float(im)) for re, im in entries]).tobytes()
+    assert ksep.states._complex_entries(entries, no_location).tobytes() == want
+    assert ksep.states._complex_entries(json.loads(json.dumps(entries)), no_location).tobytes() == want
+    # numbers that are float subclasses take the per-entry route to the same bits
+    entries = [(np.float64(re), im) for re, im in entries]
+    assert ksep.states._complex_entries(entries, lambda i: "").tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], 0),  # converts to shape (2, 4)
+        ([[1.0], [0.0]], 0),
+        ([1.0, 0.0], 0),
+        ([[1.0, 0.0], [0.0, 0.0, 0.0]], 1),  # ragged
+        ([[1.0, 0.0], [0.0, None]], 1),  # np.array reads None as nan
+        ([[1.0, 0.0], [0.0, False]], 1),
+        ([range(2), range(2)], 0),  # a sequence, but not a pair
+        ([np.array([1.0, 0.0], dtype=object)] * 2, 0),
+    ],
+)
+def test_pair_reader_refuses_what_the_per_entry_reader_refuses(entries, bad):
+    with pytest.raises(FormatError, match=rf"^entry {bad}: expected a \[re, im\] pair, got "):
+        ksep.states._complex_entries(entries, lambda i: f"entry {i}")
+
+
+def test_save_load_keeps_every_bit(tmp_path):
+    noisy = white_noise(ghz(8).to_density(), 0.7).mat.copy()
+    noisy[0, 0] = complex(noisy[0, 0].real, -0.0)
+    noisy[1, 2], noisy[2, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    for rho in (random_density((2, 3, 4), np.random.default_rng(31)), DensityMatrix((2,) * 8, noisy)):
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        assert load_state(path).mat.tobytes() == rho.mat.tobytes()
+    assert "-0.0" in path.read_text()
