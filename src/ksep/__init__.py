@@ -30,6 +30,7 @@ from .partitions import (
 )
 from .states import (
     DensityMatrix,
+    NoisyPureState,
     PureState,
     ghz,
     load_state,
@@ -95,6 +96,7 @@ __all__ = [
     # states
     "DensityMatrix",
     "PureState",
+    "NoisyPureState",
     "ghz",
     "w_state",
     "product_pure",

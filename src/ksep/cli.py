@@ -30,7 +30,7 @@ from .errors import FormatError, GuardError, KsepError, ParameterError
 from .oracle import equivalence_campaign
 from .partitions import _CHUNK, MAX_PARTITIONS, _label_rows, _notations, stirling2
 from .search import BASIS_PAIR, GHZ_PAIR, RANDOM, SearchConfig, canonical_probe, optimize_probe, scan_noise
-from .states import DensityMatrix, _check_dense_dim, _read_json, ghz, load_state, maximally_mixed, w_state, white_noise
+from .states import DensityMatrix, NoisyPureState, _check_dense_dim, _read_json, ghz, load_state, maximally_mixed, w_state, white_noise
 
 EXIT_OK = 0
 EXIT_INTERNAL_CHECK = 1
@@ -44,27 +44,30 @@ ORACLE_CHECK_THRESHOLD = 1e-10
 
 
 # family -> (flags, keys as key -> (type, default; None if required), builder
-# taking the key values in key order)
+# taking the key values in key order).  The ket families are built as kets
+# under white noise, the maximally mixed state densely.
 _FAMILIES = {
-    "ghz": ((), {"n": (int, None), "d": (int, 2)}, lambda n, d: ghz(n, d).to_density()),
-    "w": ((), {"n": (int, None)}, lambda n: w_state(n).to_density()),
+    "ghz": ((), {"n": (int, None), "d": (int, 2)}, lambda n, d: white_noise(ghz(n, d), 1.0)),
+    "w": ((), {"n": (int, None)}, lambda n: white_noise(w_state(n), 1.0)),
     "mixed": (("I",), {"n": (int, None), "d": (int, 2)}, lambda n, d: maximally_mixed((d,) * n)),
     "noisy-ghz": (
         (),
         {"n": (int, None), "p": (float, None), "d": (int, 2)},
-        lambda n, p, d: white_noise(ghz(n, d).to_density(), p),
+        lambda n, p, d: white_noise(ghz(n, d), p),
     ),
 }
 _TYPE_NOUNS = {int: "an integer", float: "a number"}
 
 
-def _parse_family(descriptor: str) -> DensityMatrix:
+def _parse_family(descriptor: str) -> DensityMatrix | NoisyPureState:
     """Build a state from a family descriptor like ``ghz:n=3,d=2``.
 
     Families: ghz:n=N[,d=D]; w:n=N; mixed:I,n=N[,d=D];
     noisy-ghz:n=N,p=P[,d=D].  An unknown family, flag or key, a missing key
     and a value that is not of its key's type raise FormatError; a state of
     dimension d^n over MAX_DENSE_DIM raises GuardError before it is built.
+    ghz, w and noisy-ghz give a ``NoisyPureState`` (p = 1 for the first
+    two), mixed a ``DensityMatrix``.
     """
     name, _, rest = descriptor.partition(":")
     if name not in _FAMILIES:
@@ -99,9 +102,10 @@ def _parse_family(descriptor: str) -> DensityMatrix:
     return build(*values.values())
 
 
-def _load_state_arg(args) -> tuple[DensityMatrix, str]:
+def _load_state_arg(args) -> tuple[DensityMatrix | NoisyPureState, str]:
     """The validated state named by ``--family`` or ``--state``, and its
-    manifest input.  ``load_state`` validates a file while it reads it."""
+    manifest input.  ``load_state`` validates a file while it reads it; a
+    family's ``NoisyPureState`` is validated in O(D), without its matrix."""
     if args.family is not None:
         rho = _parse_family(args.family)
         rho.validate()

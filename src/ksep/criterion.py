@@ -20,8 +20,13 @@ weights W[a] = <x_a| rho |x_a> and the first term come out of one
 contraction: rho, with one ket and one bra axis per site side by side (the
 state's cached ``interleaved`` copy, built once per state), is contracted
 site by site against the stacked pair [u_m; v_m], a D^2 pass that never
-builds a probe vector.  A partition term then only gathers
-W[s] * W[complement of s] by integer masks from a plan cached per (n, k).
+builds a probe vector.  A pure state under white noise,
+rho = p |psi><psi| + (1 - p) I / D (``NoisyPureState``), is read from its
+ket instead, a D pass with the same loop:
+W[a] = p |<x_a|psi>|^2 + (1 - p) / D <x_a|x_a>, and the first term is
+|p <phi1|psi><psi|phi2> + (1 - p) / D <phi1|phi2>|.  A partition term
+then only gathers W[s] * W[complement of s] by integer masks from a plan
+cached per (n, k).
 The core evaluates a stack of R probes on each of S states at once, each
 probe with the floats it would get alone: the probe search climbs all its
 restarts, on every noise level of a scan's grid, through it,
@@ -49,7 +54,7 @@ from .errors import (
 )
 from .linalg import UNIT_NORM_TOL, kron_all
 from .partitions import KPartition, _label_rows, _notations, _partitions_of, block_pairs
-from .states import DensityMatrix, _complex_entries, _pairs
+from .states import DensityMatrix, NoisyPureState, _complex_entries, _pairs
 
 DEFAULT_TOLERANCE = 1e-9
 # diagonal expectation values this far below zero are treated as rounding
@@ -264,27 +269,52 @@ def _probe_at(factors: dict[int, np.ndarray], dims, r: int) -> ProductProbe:
     )
 
 
-def _interleaved(states) -> np.ndarray:
-    """The core's input for S states of equal dims: their ``interleaved``
-    copies stacked on a leading axis, a view of the cached copy for S = 1."""
+def _interleaved(states):
+    """The core's input for S states of equal dims and of one kind.
+
+    Dense states give their ``interleaved`` copies stacked on a leading
+    axis, a view of the cached copy for S = 1.  Noisy kets give the pair
+    (kets, p): the kets as an (S, d0, d1, ...) array and their noise
+    weights as an (S,) array.
+    """
+    if isinstance(states[0], NoisyPureState):
+        kets = np.stack([state.pure.vec for state in states])
+        return kets.reshape(len(states), *states[0].dims), np.array([state.p for state in states])
     if len(states) == 1:
         return states[0].interleaved[None]
     return np.stack([rho.interleaved for rho in states])
 
 
-def _weights(inter: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+def _weights(inter, factors) -> tuple[np.ndarray, np.ndarray]:
     """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of probes.
 
-    ``inter`` is the (S, d0, d0, d1, d1, ...) stack of S states made by
-    ``_interleaved`` and ``factors`` a stack of S * R probes (see
-    ``_stack``), state-major: rows s*R .. s*R + R-1 are read against state
-    s.  The result is (S * R,) first terms and (S * R, 2^n) weights,
-    W[row, a] = <x_a| rho |x_a> with x_a as in the module docstring.  No call
-    copies a state.  Every probe goes through the same matrix products as a
-    batch of one, so its floats do not depend on the batch around it.  Tiny
-    negative rounding is clamped to 0; a weight below DIAG_CLAMP in any row
-    raises.
+    ``inter`` is the input of S states made by ``_interleaved`` and
+    ``factors`` a stack of S * R probes (see ``_stack``), state-major: rows
+    s*R .. s*R + R-1 are read against state s.  The result is (S * R,)
+    first terms and (S * R, 2^n) weights, W[row, a] = <x_a| rho |x_a> with
+    x_a as in the module docstring.  No call copies a state.  Every probe
+    goes through the same matrix products as a batch of one, so its floats
+    do not depend on the batch around it.  Tiny negative rounding is
+    clamped to 0; a weight below DIAG_CLAMP in any row raises.
     """
+    if isinstance(inter, tuple):
+        first, weights = _ket_forms(*inter, factors)
+    else:
+        first, weights = _dense_forms(inter, factors)
+    low = float(weights.min())
+    if low < DIAG_CLAMP:
+        raise NumericalError(
+            f"diagonal expectation value {low!r} is more negative than "
+            f"rounding allows ({DIAG_CLAMP}); the state is not positive semidefinite"
+        )
+    weights[weights < 0.0] = 0.0
+    # hypot is the modulus abs() takes of a complex number, to the last bit
+    return np.hypot(first.real, first.imag), weights
+
+
+def _dense_forms(inter: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """``_weights`` before the clamp on the (S, d0, d0, d1, d1, ...) stack
+    of dense states: the complex first terms and the real weights."""
     count = len(next(iter(factors.values())))
     levels = len(inter)
     # per site dimension d, the rows <u_m|.|u_m>, <v_m|.|v_m> and <u_m|.|v_m>
@@ -308,20 +338,44 @@ def _weights(inter: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
         # ends up the most significant bit
         w = site[:, :2] @ w.reshape(count, -1, d * d).transpose(0, 2, 1)
         first = first.reshape(count, -1, d * d) @ site[:, 2, :, None]
-    weights = w.reshape(count, -1).real.copy()
-    low = float(weights.min())
-    if low < DIAG_CLAMP:
-        raise NumericalError(
-            f"diagonal expectation value {low!r} is more negative than "
-            f"rounding allows ({DIAG_CLAMP}); the state is not positive semidefinite"
-        )
-    weights[weights < 0.0] = 0.0
-    # hypot is the modulus abs() takes of a complex number, to the last bit
-    first = first.reshape(count)
-    return np.hypot(first.real, first.imag), weights
+    return first.reshape(count), w.reshape(count, -1).real.copy()
 
 
-def _probe_weights(rho: DensityMatrix, probe: ProductProbe, cache=None):
+def _ket_forms(kets: np.ndarray, p: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """``_weights`` before the clamp on S noisy kets, (S, d0, d1, ...) with
+    noise weights ``p``: the complex first terms and the real weights.
+
+    The amplitudes <x_a|psi> come out of the dense route's loop with the
+    bras [u_m; v_m]^* in place of the forms; the noise part needs only the
+    Gram matrix of each site's pair [u_m; v_m].
+    """
+    count = len(next(iter(factors.values())))
+    levels = len(kets)
+    (d, j), *rest = reversed(_slots(kets.shape[1:]))
+    pair = factors[d][:, :, j]
+    bra = pair.conj()
+    # the last site first, on a (state, probe) batch shape
+    amp = bra.reshape(levels, -1, 2, d) @ kets.reshape(levels, 1, -1, d).swapaxes(-1, -2)
+    gram = bra @ pair.swapaxes(-1, -2)
+    norms = gram[:, (0, 1), (0, 1)].real
+    overlap = gram[:, 0, 1]
+    for d, j in rest:
+        pair = factors[d][:, :, j]
+        bra = pair.conj()
+        # the trailing site's label axis goes in front, as in the dense route
+        amp = bra @ amp.reshape(count, -1, d).transpose(0, 2, 1)
+        gram = bra @ pair.swapaxes(-1, -2)
+        norms = (gram[:, (0, 1), (0, 1)].real[:, :, None] * norms[:, None, :]).reshape(count, -1)
+        overlap = overlap * gram[:, 0, 1]
+    amp = amp.reshape(count, -1)
+    p = np.repeat(p, count // levels)
+    noise = (1.0 - p) / math.prod(kets.shape[1:])
+    weights = p[:, None] * (amp.real * amp.real + amp.imag * amp.imag) + noise[:, None] * norms
+    first = p * (amp[:, 0] * amp[:, -1].conj()) + noise * overlap
+    return first, weights
+
+
+def _probe_weights(rho: DensityMatrix | NoisyPureState, probe: ProductProbe, cache=None):
     """``_weights`` of one probe, as a batch of one.
 
     With a ``cache``, the pair is reused from it, and every swap set's
@@ -368,21 +422,21 @@ def _check_tolerance(tolerance: float) -> None:
         raise ParameterError(f"tolerance must be finite, got {tolerance}")
 
 
-def _check_compatible(rho: DensityMatrix, probe: ProductProbe) -> None:
+def _check_compatible(rho: DensityMatrix | NoisyPureState, probe: ProductProbe) -> None:
     if probe.dims != rho.dims:
         raise DimensionError(
             f"probe dims {probe.dims} do not match state dims {rho.dims}"
         )
 
 
-def first_term(rho: DensityMatrix, probe: ProductProbe) -> float:
+def first_term(rho: DensityMatrix | NoisyPureState, probe: ProductProbe) -> float:
     """|<phi1| rho |phi2>|, the square root of the total-permutation term."""
     _check_compatible(rho, probe)
     return float(_probe_weights(rho, probe)[0][0])
 
 
 def partition_term(
-    rho: DensityMatrix,
+    rho: DensityMatrix | NoisyPureState,
     probe: ProductProbe,
     partition: KPartition,
     cache: dict | None = None,
@@ -404,7 +458,7 @@ def partition_term(
 
 
 def evaluate(
-    rho: DensityMatrix,
+    rho: DensityMatrix | NoisyPureState,
     probe: ProductProbe,
     k: int,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -413,9 +467,11 @@ def evaluate(
     """Evaluate the k-separability test for one state and probe.
 
     A verdict of ``not_k_separable`` requires lhs > tolerance; anything
-    else is ``inconclusive`` (the test is one-sided).  ``rho`` is assumed
-    to satisfy the density-matrix invariants; run ``rho.validate()`` first
-    when the input is untrusted.  ``cache`` as in ``partition_term``.
+    else is ``inconclusive`` (the test is one-sided).  A ``DensityMatrix``
+    is assumed to satisfy the density-matrix invariants; run
+    ``rho.validate()`` first when the input is untrusted.  A
+    ``NoisyPureState`` is valid by construction.  ``cache`` as in
+    ``partition_term``.
     Raises ParameterError for a tolerance that is not finite.
     """
     _check_tolerance(tolerance)
@@ -435,7 +491,7 @@ def evaluate(
     )
 
 
-def evaluate_batch(rho: DensityMatrix, probes, ks) -> np.ndarray:
+def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarray:
     """The lhs of many probes on one state, at one or more k.
 
     Returns a (len(ks), len(probes)) array whose entry [i, r] equals

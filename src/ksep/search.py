@@ -23,7 +23,7 @@ from .criterion import (
     ProductProbe,
 )
 from .errors import GuardError, ParameterError
-from .states import DensityMatrix, _checked_dims, _random_unit_factors, white_noise
+from .states import DensityMatrix, NoisyPureState, PureState, _checked_dims, _random_unit_factors, white_noise
 
 GHZ_PAIR = "ghz-pair"
 BASIS_PAIR = "basis-pair"
@@ -40,7 +40,8 @@ MAX_DENSE_POINTS = 10_001
 # density matrix.  Restarts past it climb in further batches, with the same
 # results.  A scan's grid levels share a batch only while all their restarts
 # and 3 * D^2 entries per level (its matrix, interleaved copy and slot in the
-# stacked core input) fit.
+# stacked core input) fit.  The rule is sized for dense states; a noisy ket
+# needs far less, and gets the same results from the same batches.
 MAX_BATCH_ENTRIES = 1 << 20
 
 
@@ -249,7 +250,8 @@ def _perturbed(factors: dict[int, np.ndarray], step: float, draws: np.ndarray, d
 def _climb(rho, plan, starts, rngs, cfg: SearchConfig, history: list | None = None):
     """Hill-climb R restarts in lockstep on S states; returns (best lhs per row, factors).
 
-    ``rho`` is one state or a list of S states of the same dims.  Every
+    ``rho`` is one state or a list of S states of the same dims and of one
+    kind, dense (``DensityMatrix``) or noisy kets (``NoisyPureState``).  Every
     state gets R rows, state-major: row s*R + r is restart r on state s, which
     starts from ``starts[r]`` and takes the kicks drawn from ``rngs[r]``,
     the same on every state.  The kick scale decays geometrically each
@@ -261,7 +263,7 @@ def _climb(rho, plan, starts, rngs, cfg: SearchConfig, history: list | None = No
     ``factors`` is the ``criterion._stack`` of the best probes; the best
     values never decrease.
     """
-    states = [rho] if isinstance(rho, DensityMatrix) else rho
+    states = [rho] if isinstance(rho, (DensityMatrix, NoisyPureState)) else rho
     inter = criterion._interleaved(states)
     dims = starts[0].dims
 
@@ -344,7 +346,7 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
 
 
 def optimize_probe(
-    rho: DensityMatrix,
+    rho: DensityMatrix | NoisyPureState,
     k: int,
     cfg: SearchConfig,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -366,13 +368,16 @@ def optimize_probe(
 
 
 def scan_noise(
-    target: DensityMatrix,
+    target: DensityMatrix | PureState | NoisyPureState,
     k: int,
     resolution: float,
     cfg: SearchConfig,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> NoiseScanResult:
     """Locate the detection threshold of p*target + (1-p)*I/D in p.
+
+    Every noise level is ``white_noise(target, p)``: dense for a
+    ``DensityMatrix`` target, a ``NoisyPureState`` for a ket target.
 
     A 17-point coarse grid classifies each p by running the probe search;
     if detection is monotone in p the boundary is bisected down to

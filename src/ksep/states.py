@@ -65,16 +65,21 @@ def _check_dense_dim(dims, where: str = "") -> None:
             )
 
 
-def _require_density(mat: np.ndarray, tol: float, where: str = "") -> None:
-    """Raise StateValidationError unless ``mat`` is a density matrix within ``tol``.
+def _require_density(state, tol: float, where: str = "") -> None:
+    """Raise StateValidationError unless ``state`` is a density matrix within ``tol``.
 
-    A matrix that ``linalg._dominance_accepts`` accepts passes without an
-    eigensolve; any other is judged by ``check_density``, and a rejection
+    ``state`` is a D x D array or a ``NoisyPureState``.  A noisy ket is judged
+    by its closed-form record (``NoisyPureState.diagnostics``, O(D)).  A
+    matrix that ``linalg._dominance_accepts`` accepts passes without an
+    eigensolve; any other is judged by ``check_density``.  A rejection
     carries its record.  ``where`` starts the message (a file path and ": ").
     """
-    if _dominance_accepts(mat, tol):
+    if isinstance(state, NoisyPureState):
+        diag = state.diagnostics(tol)
+    elif _dominance_accepts(state, tol):
         return
-    diag = check_density(mat, tol)
+    else:
+        diag = check_density(state, tol)
     if not diag.accepted:
         raise StateValidationError(
             f"{where}not a valid density matrix: "
@@ -96,7 +101,9 @@ class DensityMatrix:
     qubit GHZ state with or without white noise and the maximally mixed
     state; it eigensolves only a matrix the bound cannot accept (a W state,
     a qutrit GHZ state, a random density matrix), so its verdict is always
-    the eigensolve's.
+    the eigensolve's.  A pure state under white noise needs neither the
+    matrix nor this check when it is held as a ``NoisyPureState``, as the
+    command line's ket families are.
 
     The first evaluation of a state builds ``interleaved``, a read-only
     copy of ``mat`` in the site-by-site layout of the evaluation core, and
@@ -297,11 +304,83 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(dims, np.eye(d, dtype=np.complex128) / d)
 
 
-def white_noise(target: DensityMatrix, p: float) -> DensityMatrix:
-    """Interpolate between the maximally mixed state (p=0) and target (p=1)."""
+def _noise_weight(p) -> float:
     p = float(p)
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= p <= 1.0:  # NaN fails too
         raise ParameterError(f"noise parameter p={p!r} outside [0, 1]")
+    return p
+
+
+@dataclass(frozen=True)
+class NoisyPureState:
+    """The state p |psi><psi| + (1 - p) I / D, held as the ket psi and p.
+
+    The evaluation core reads every weight from the D amplitudes of the
+    ket (see ``criterion``), so the D x D matrix is never built.  The state
+    is valid by construction: ``PureState`` checks the unit norm and the
+    finiteness of psi, and the constructor checks 0 <= p <= 1.
+    ``diagnostics`` and ``validate`` judge it from its spectrum in closed
+    form, in O(D).  ``to_density`` gives the dense state,
+    ``white_noise(pure.to_density(), p)``.
+    """
+
+    pure: PureState
+    p: float
+
+    def __post_init__(self):
+        if not isinstance(self.pure, PureState):
+            raise ParameterError(f"expected a PureState, got {type(self.pure).__name__}")
+        object.__setattr__(self, "p", _noise_weight(self.p))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.pure.dims
+
+    @property
+    def site_count(self) -> int:
+        return self.pure.site_count
+
+    @property
+    def dim(self) -> int:
+        return self.pure.dim
+
+    def diagnostics(self, tol: float = DEFAULT_DENSITY_TOL) -> DensityDiagnostics:
+        """The record ``check_density`` gives, in exact arithmetic on the
+        floats of psi and p: the matrix is hermitian, its trace is
+        p |psi|^2 + 1 - p, and its eigenvalues are (1 - p) / D, D - 1 times,
+        and (1 - p) / D + p |psi|^2."""
+        norm_sq = float(np.vdot(self.pure.vec, self.pure.vec).real)
+        trace_defect = abs(self.p * (norm_sq - 1.0))
+        min_eigenvalue = (1.0 - self.p) / self.dim
+        return DensityDiagnostics(
+            hermiticity_defect=0.0,
+            trace_defect=trace_defect,
+            min_eigenvalue=min_eigenvalue,
+            tol=tol,
+            accepted=trace_defect <= tol and min_eigenvalue >= -tol,
+        )
+
+    def validate(self, tol: float = DEFAULT_DENSITY_TOL) -> None:
+        """Raise StateValidationError unless this is a density matrix within tol."""
+        _require_density(self, tol)
+
+    def to_density(self) -> DensityMatrix:
+        return white_noise(self.pure.to_density(), self.p)
+
+
+def white_noise(target, p: float):
+    """Interpolate between the maximally mixed state (p=0) and target (p=1).
+
+    A ``DensityMatrix`` target gives the dense mixture.  A ``PureState``
+    gives the ``NoisyPureState`` (target, p), and a ``NoisyPureState``
+    (pure, p0) gives (pure, p * p0), the same state as the dense double
+    application.
+    """
+    p = _noise_weight(p)
+    if isinstance(target, PureState):
+        return NoisyPureState(target, p)
+    if isinstance(target, NoisyPureState):
+        return NoisyPureState(target.pure, p * target.p)
     d = target.dim
     mat = p * target.mat + ((1.0 - p) / d) * np.eye(d, dtype=np.complex128)
     return DensityMatrix(target.dims, mat)

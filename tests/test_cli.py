@@ -153,7 +153,7 @@ def test_eval_thread_count_does_not_change_numbers(capsys):
     _, doc_2, _ = run_json(capsys, *base)
     assert doc_1["report"]["lhs"] == doc_2["report"]["lhs"]
     assert doc_1["report"]["terms"] == doc_2["report"]["terms"]
-    rho = white_noise(ghz(4).to_density(), 0.8)
+    rho = white_noise(ghz(4), 0.8)
     probe = canonical_probe(RANDOM, rho.dims, rng=np.random.default_rng(9))
     report = evaluate(rho, probe, 3)
     assert doc_1["report"]["lhs"] == report.lhs
@@ -536,7 +536,7 @@ def _detect_fields(report):
     return {"report": report.to_json_dict(), "probe": report.probe.to_json_dict()}
 
 
-NOISY_GHZ3 = white_noise(ghz(3).to_density(), 0.8)
+NOISY_GHZ3 = white_noise(ghz(3), 0.8)
 DETECT_CFG = SearchConfig(restarts=3, max_iters=60, seed=2)
 SCAN_CFG = SearchConfig(restarts=2, max_iters=30)
 
@@ -558,13 +558,13 @@ WRITER_CASES = {
     ),
     "scan": (
         ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "0.05", *SCAN_FAST),
-        lambda: {"result": scan_noise(ghz(2).to_density(), 2, 0.05, SCAN_CFG).to_json_dict()},
+        lambda: {"result": scan_noise(ghz(2), 2, 0.05, SCAN_CFG).to_json_dict()},
         _scan_rows,
     ),
     "scan-trace": (
         ("scan", "--family", "ghz:n=2", "--k", "2", "--resolution", "0.05", *SCAN_FAST, "--trace"),
         lambda: {
-            "result": scan_noise(ghz(2).to_density(), 2, 0.05, SCAN_CFG).to_json_dict(include_trace=True)
+            "result": scan_noise(ghz(2), 2, 0.05, SCAN_CFG).to_json_dict(include_trace=True)
         },
         _scan_rows,
     ),
