@@ -467,6 +467,18 @@ def _complex_entries(entries: list, where) -> np.ndarray:
     return np.array([_parse_pair(e, where(i)) for i, e in enumerate(entries)], dtype=np.complex128)
 
 
+def _finite_entries(entries: list, where) -> np.ndarray:
+    """``_complex_entries`` of a state file, which also refuses the first
+    entry that is not finite (``NaN``, ``Infinity`` or past the float range)
+    before any arithmetic reads it."""
+    values = _complex_entries(entries, where)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FormatError(f"{where(i)}: expected a finite [re, im] pair, got {entries[i]!r}")
+    return values
+
+
 def _read_json(path):
     """The decoded JSON document in ``path``; FormatError if unreadable or invalid."""
     try:
@@ -485,8 +497,8 @@ def _read_json(path):
 def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
     """Read a state file, validate it and return the density matrix.
 
-    Raises FormatError for anything that fails to parse and
-    StateValidationError (carrying diagnostics) when the parsed matrix is
+    Raises FormatError for anything that fails to parse, naming the first
+    entry that is not a finite [re, im] pair, and StateValidationError (carrying diagnostics) when the parsed matrix is
     not a density matrix within ``tol``.
     """
     doc = _read_json(path)
@@ -514,13 +526,13 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != d:
                 raise FormatError(f"{path}: matrix row {i} must have {d} entries")
-            mat[i] = _complex_entries(row, lambda j: f"{path}: matrix entry ({i}, {j})")
+            mat[i] = _finite_entries(row, lambda j: f"{path}: matrix entry ({i}, {j})")
     elif "vector" in doc:
         entries = doc["vector"]
         if not isinstance(entries, list) or len(entries) != d:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
             raise FormatError(f"{path}: field 'vector' must have {d} entries, got {got}")
-        vec = _complex_entries(entries, lambda i: f"{path}: vector entry {i}")
+        vec = _finite_entries(entries, lambda i: f"{path}: vector entry {i}")
         mat = np.outer(vec, vec.conj())
     else:
         raise FormatError(f"{path}: expected a 'matrix' or 'vector' field")
