@@ -495,21 +495,27 @@ def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarra
     """The lhs of many probes on one state, at one or more k.
 
     Returns a (len(ks), len(probes)) array whose entry [i, r] equals
-    ``evaluate(rho, probes[r], ks[i]).lhs`` bit for bit.  All probes go
-    through one call of the evaluation core, whose largest array holds
-    2 * len(probes) * D^2 / d^2 complex entries (D the state dimension, d
-    the last site's); split a batch that would not fit in memory.  Raises
-    ParameterError for no probes or a k outside 1..n, and GuardError past
-    the partition guard, before any evaluation.
+    ``evaluate(rho, probes[r], ks[i]).lhs`` bit for bit.  The probes go
+    through the evaluation core in chunks whose largest array holds at most
+    ``search.MAX_BATCH_ENTRIES`` complex entries on a dense state, 2 D^2 / d^2
+    per probe (D the state dimension, d the last site's), and at least one
+    probe; rows are independent, so the chunking does not change a bit.
+    Raises ParameterError for no probes or a k outside 1..n, and GuardError
+    past the partition guard, before any evaluation.
     """
+    from .search import MAX_BATCH_ENTRIES  # read per call: search imports this module
+
     probes = list(probes)
     if not probes:
         raise ParameterError("evaluate_batch needs at least one probe")
     for probe in probes:
         _check_compatible(rho, probe)
     plans = [_partition_plan(rho.site_count, k) for k in ks]
-    first, weights = _weights(_interleaved([rho]), _stack(probes, rho.dims))
+    inter = _interleaved([rho])
+    chunk = max(1, MAX_BATCH_ENTRIES // (2 * rho.dim**2 // rho.dims[-1] ** 2))
     out = np.empty((len(plans), len(probes)))
-    for row, plan in zip(out, plans):
-        row[:] = _reduce_lhs(first, _terms(weights, plan.masks, plan.expo))
+    for lo in range(0, len(probes), chunk):
+        first, weights = _weights(inter, _stack(probes[lo : lo + chunk], rho.dims))
+        for row, plan in zip(out, plans):
+            row[lo : lo + chunk] = _reduce_lhs(first, _terms(weights, plan.masks, plan.expo))
     return out
