@@ -7,6 +7,7 @@ integer with binary digits b0 b1 ... b_{n-1}.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import string
@@ -440,43 +441,43 @@ def save_state(state: DensityMatrix, path) -> None:
         fh.write(json.dumps(doc) + "\n")
 
 
-def _parse_pair(entry, where: str) -> complex:
+def _parse_pair(entry, where: str, finite: bool = False) -> complex:
     if (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         try:
-            return complex(float(entry[0]), float(entry[1]))
+            value = complex(float(entry[0]), float(entry[1]))
         except OverflowError:  # an integer too large for a float
             pass
+        else:
+            if not finite or cmath.isfinite(value):
+                return value
+            raise FormatError(f"{where}: expected a finite [re, im] pair, got {entry!r}")
     raise FormatError(f"{where}: expected a [re, im] pair, got {entry!r}")
 
 
-def _complex_entries(entries: list, where) -> np.ndarray:
+def _complex_entries(entries: list, where, finite: bool = False) -> np.ndarray:
     """``[re, im]`` pairs as a complex vector, bit for bit as ``_parse_pair``
-    reads them; the first entry ``i`` it refuses raises, named ``where(i)``."""
+    reads them; the first entry ``i`` it refuses raises, named ``where(i)``.
+    With ``finite``, an entry that is ``NaN``, infinite or past the float
+    range (``1e400``) is refused too, in the same pass."""
     try:
         pairs = np.array(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # ragged, not numbers, 10**400
         pairs = np.empty(0)
     # exact types: np.array alone also takes True, "1.5", None and any sequence
     types = map(type, chain(entries, chain.from_iterable(entries)))
-    if pairs.shape == (len(entries), 2) and {list, tuple, int, float}.issuperset(types):
+    if (
+        pairs.shape == (len(entries), 2)
+        and {list, tuple, int, float}.issuperset(types)
+        and (not finite or np.isfinite(pairs).all())
+    ):
         return pairs.view(np.complex128)[:, 0]
-    return np.array([_parse_pair(e, where(i)) for i, e in enumerate(entries)], dtype=np.complex128)
-
-
-def _finite_entries(entries: list, where) -> np.ndarray:
-    """``_complex_entries`` of a state file, which also refuses the first
-    entry that is not finite (``NaN``, ``Infinity`` or past the float range)
-    before any arithmetic reads it."""
-    values = _complex_entries(entries, where)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise FormatError(f"{where(i)}: expected a finite [re, im] pair, got {entries[i]!r}")
-    return values
+    return np.array(
+        [_parse_pair(e, where(i), finite) for i, e in enumerate(entries)], dtype=np.complex128
+    )
 
 
 def _read_json(path):
@@ -498,8 +499,9 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
     """Read a state file, validate it and return the density matrix.
 
     Raises FormatError for anything that fails to parse, naming the first
-    entry that is not a finite [re, im] pair, and StateValidationError (carrying diagnostics) when the parsed matrix is
-    not a density matrix within ``tol``.
+    entry that is not a finite [re, im] pair before any arithmetic reads
+    it, and StateValidationError (carrying diagnostics) when the parsed
+    matrix is not a density matrix within ``tol``.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -526,13 +528,13 @@ def load_state(path, tol: float = DEFAULT_DENSITY_TOL) -> DensityMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != d:
                 raise FormatError(f"{path}: matrix row {i} must have {d} entries")
-            mat[i] = _finite_entries(row, lambda j: f"{path}: matrix entry ({i}, {j})")
+            mat[i] = _complex_entries(row, lambda j: f"{path}: matrix entry ({i}, {j})", finite=True)
     elif "vector" in doc:
         entries = doc["vector"]
         if not isinstance(entries, list) or len(entries) != d:
             got = len(entries) if isinstance(entries, list) else type(entries).__name__
             raise FormatError(f"{path}: field 'vector' must have {d} entries, got {got}")
-        vec = _finite_entries(entries, lambda i: f"{path}: vector entry {i}")
+        vec = _complex_entries(entries, lambda i: f"{path}: vector entry {i}", finite=True)
         mat = np.outer(vec, vec.conj())
     else:
         raise FormatError(f"{path}: expected a 'matrix' or 'vector' field")
