@@ -15,6 +15,8 @@ import ksep.linalg
 import ksep.oracle
 import ksep.states
 from ksep import (
+    DensityMatrix,
+    NoisyPureState,
     SearchConfig,
     enumerate_kpartitions,
     equivalence_campaign,
@@ -25,6 +27,7 @@ from ksep import (
     save_state,
     scan_noise,
     stirling2,
+    w_state,
     white_noise,
 )
 from ksep.cli import main
@@ -705,3 +708,69 @@ def test_eval_on_a_noisy_ghz_family_runs_no_eigensolve(capsys, monkeypatch):
     )
     assert code == 0 and doc["report"]["verdict"] == "inconclusive"
     assert calls == []
+
+
+# --- families held as kets under white noise -----------------------------------------
+
+
+def test_ket_families_are_kets_under_white_noise():
+    cases = {
+        "ghz:n=3": (ghz(3), 1.0),
+        "ghz:n=2,d=3": (ghz(2, 3), 1.0),
+        "w:n=4": (w_state(4), 1.0),
+        "noisy-ghz:n=3,p=0.6": (ghz(3), 0.6),
+        "noisy-ghz:n=2,p=0.25,d=3": (ghz(2, 3), 0.25),
+    }
+    for descriptor, (psi, p) in cases.items():
+        state = ksep.cli._parse_family(descriptor)
+        assert type(state) is NoisyPureState and state.p == p, descriptor
+        assert state.dims == psi.dims and state.pure.vec.tobytes() == psi.vec.tobytes()
+    assert type(ksep.cli._parse_family("mixed:I,n=3")) is DensityMatrix
+
+
+@pytest.mark.parametrize("family", ["ghz:n=3", "w:n=4", "noisy-ghz:n=6,p=0.8"])
+def test_ket_family_runs_build_no_matrix(capsys, monkeypatch, family):
+    # no D x D matrix, Gershgorin pass or eigensolve on a ket family (a W
+    # state used to be eigensolved)
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a ket family is never built densely")
+
+    monkeypatch.setattr(ksep.states.PureState, "to_density", no_dense)
+    monkeypatch.setattr(ksep.states.NoisyPureState, "to_density", no_dense)
+    monkeypatch.setattr(ksep.states, "_dominance_accepts", no_dense)
+    monkeypatch.setattr(ksep.linalg.np.linalg, "eigvalsh", no_dense)
+    for argv in (
+        ("eval", "--family", family, "--probe", "random", "--k", "2"),
+        ("detect", "--family", family, "--k", "2", "--restarts", "2", "--max-iters", "5"),
+        ("scan", "--family", family, "--k", "2", "--resolution", "0.1", "--restarts", "1", "--max-iters", "3"),
+    ):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code in (0, 10) and doc["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "family, k, probe",
+    [
+        ("noisy-ghz:n=4,p=0.9", 2, "random"),
+        ("noisy-ghz:n=4,p=0.9", 3, "ghz-pair"),
+        ("noisy-ghz:n=3,p=0.6", 2, "ghz-pair"),
+        ("ghz:n=3", 2, "random"),
+        ("ghz:n=2,d=3", 2, "basis-pair:0,2"),
+        ("w:n=3", 2, "random"),
+        ("w:n=4", 3, "ghz-pair"),
+    ],
+)
+def test_family_eval_matches_its_dense_state_file(capsys, tmp_path, family, k, probe):
+    # the ket route against the same state saved densely and read back: lhs
+    # within 1e-12, the same exit code and verdict
+    path = tmp_path / "state.json"
+    save_state(ksep.cli._parse_family(family).to_density(), path)
+    tail = ("--k", str(k), "--probe", probe, "--seed", "3")
+    code_ket, doc_ket, _ = run_json(capsys, "eval", "--family", family, *tail)
+    code_file, doc_file, _ = run_json(capsys, "eval", "--state", str(path), *tail)
+    assert code_ket == code_file
+    ket, dense = doc_ket["report"], doc_file["report"]
+    assert ket["verdict"] == dense["verdict"]
+    assert abs(ket["lhs"] - dense["lhs"]) <= 1e-12
+    assert abs(ket["first_term"] - dense["first_term"]) <= 1e-12
+    assert [t["partition"] for t in ket["terms"]] == [t["partition"] for t in dense["terms"]]

@@ -28,14 +28,18 @@ from ksep import (
     ghz,
     maximally_mixed,
     mix,
+    oracle_evaluate,
     partition_product_pure,
     partition_term,
     random_density,
     random_product_pure,
+    random_pure,
     stirling2,
     swap_sets,
+    w_state,
     white_noise,
 )
+from ksep import search
 from ksep.criterion import _interleaved, _partition_plan, _stack, _weights, evaluate_batch
 from ksep.search import GHZ_PAIR, canonical_probe
 
@@ -647,3 +651,125 @@ def test_k2_and_k3_match_their_closed_forms(n):
                 terms = [math.prod(f(b) ** (1 / 6) for b in blocks) for blocks in triples]
             expected = report.first_term - math.fsum(terms)
             assert abs(report.lhs - expected) <= 1e-12 * (report.first_term + math.fsum(terms))
+
+
+# --- pure states under white noise: the ket route ------------------------------------
+
+
+def _ket_cases():
+    """(name, ket) pairs: GHZ (d = 2, 3), W and random kets, n <= 10."""
+    rng = np.random.default_rng(2024)
+    cases = [(f"ghz{n}", ghz(n)) for n in (2, 3, 5, 10)]
+    cases += [(f"ghz{n}d3", ghz(n, 3)) for n in (2, 4)]
+    cases += [(f"w{n}", w_state(n)) for n in (3, 6, 9)]
+    for dims in [(2,) * 4, (2,) * 7, (2, 3, 4), (3, 3), (4, 2, 3, 2)]:
+        cases.append(("rand" + "x".join(map(str, dims)), random_pure(dims, rng)))
+    return cases
+
+
+# largest |ket - dense| measured over every case, probe and p below:
+# weights 2.2e-16, first terms 1.1e-16
+KET_DENSE_TOL = 1e-15
+
+
+@pytest.mark.parametrize("case", _ket_cases(), ids=lambda case: case[0])
+def test_ket_core_matches_the_dense_core(case):
+    # referee: the ket route's weights and first terms against the dense
+    # contraction of the same state's matrix
+    _, psi = case
+    rng = np.random.default_rng(psi.dim)
+    probes = [canonical_probe(GHZ_PAIR, psi.dims)] + [_random_probe(psi.dims, rng) for _ in range(6)]
+    factors = _stack(probes, psi.dims)
+    for p in (1.0, 0.8, 0.35, 0.0):
+        state = white_noise(psi, p)
+        first, weights = _weights(_interleaved([state]), factors)
+        want_first, want_weights = _weights(_interleaved([state.to_density()]), factors)
+        assert weights.shape == want_weights.shape == (len(probes), 2 ** len(psi.dims))
+        assert np.abs(weights - want_weights).max() <= KET_DENSE_TOL, p
+        assert np.abs(first - want_first).max() <= KET_DENSE_TOL, p
+        assert weights.min() >= 0.0
+
+
+# n <= 4, and D <= 64: the oracle's two-copy space holds D^2 <= 4096 entries
+@pytest.mark.parametrize(
+    "case", [c for c in _ket_cases() if c[1].site_count <= 4 and c[1].dim <= 64], ids=lambda case: case[0]
+)
+def test_ket_route_matches_the_oracle(case):
+    # referee: evaluate on the ket against the explicit two-copy operators on
+    # its matrix; with noise (p < 1) every weight is at least (1 - p) / D, so
+    # the roots of the terms stay well conditioned
+    _, psi = case
+    rng = np.random.default_rng(psi.dim + 1)
+    probes = [canonical_probe(GHZ_PAIR, psi.dims)] + [_random_probe(psi.dims, rng) for _ in range(3)]
+    for p in (1.0, 0.9, 0.5):
+        state = white_noise(psi, p)
+        for probe in probes if p < 1.0 else probes[1:]:
+            for k in range(1, psi.site_count + 1):
+                fast = evaluate(state, probe, k)
+                slow = oracle_evaluate(state.to_density(), probe, k)
+                assert fast.lhs == pytest.approx(slow.lhs, abs=1e-10)
+                assert fast.first_term == pytest.approx(slow.first_term, abs=1e-12)
+                for (part_f, tf), (part_s, ts) in zip(fast.partition_terms, slow.partition_terms):
+                    assert part_f == part_s
+                    assert tf == pytest.approx(ts, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,), (2, 2, 2), (2,) * 5, (3, 3), (2, 3, 2), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_ket_batch_and_core_rows_match_batches_of_one(dims):
+    # evaluate_batch and a (state, probe) core batch on kets: every entry is
+    # the bits of its own probe and state alone
+    rng = np.random.default_rng(sum(dims) * 13 + len(dims))
+    psi = random_pure(dims, rng)
+    states = [white_noise(psi, p) for p in (1.0, 0.6)] + [white_noise(random_pure(dims, rng), 0.9)]
+    probes = [_random_probe(dims, rng) for _ in range(7)] + [canonical_probe(GHZ_PAIR, dims)]
+    ks = list(range(1, len(dims) + 1))
+    for state in states:
+        batch = evaluate_batch(state, probes, ks)
+        for i, k in enumerate(ks):
+            want = [evaluate(state, probe, k).lhs for probe in probes]
+            assert _bits(*batch[i]) == _bits(*want)
+            assert _bits(*evaluate_batch(state, probes[2:5], [k])[0]) == _bits(*want[2:5])
+        cache: dict = {}
+        for part, value in evaluate(state, probes[0], len(dims)).partition_terms:
+            assert _bits(partition_term(state, probes[0], part, cache)) == _bits(value)
+        assert _bits(first_term(state, probes[0])) == _bits(evaluate(state, probes[0], 1).first_term)
+    first, weights = _weights(_interleaved(states), _stack(probes * len(states), dims))
+    for s, state in enumerate(states):
+        for r, probe in enumerate(probes):
+            one_first, one_weights = _weights(_interleaved([state]), _stack([probe], dims))
+            row = s * len(probes) + r
+            assert _bits(first[row]) == _bits(*one_first)
+            assert weights[row].tobytes() == one_weights[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "ket"])
+def test_evaluate_batch_chunks_keep_every_bit(kind, monkeypatch):
+    dims = (2, 3, 2, 2)
+    rng = np.random.default_rng(77)
+    state = random_density(dims, rng) if kind == "dense" else white_noise(random_pure(dims, rng), 0.7)
+    probes = [_random_probe(dims, rng) for _ in range(11)]
+    ks = [1, 2, 4]
+    whole = evaluate_batch(state, probes, ks)
+    # 2 D^2 / d^2 = 288 entries per probe: chunks of 1, 3 and 11 probes
+    for cap in (1, 3 * 288, 3 * 288 + 287, 11 * 288):
+        monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", cap)
+        assert evaluate_batch(state, probes, ks).tobytes() == whole.tobytes(), cap
+
+
+def test_evaluate_batch_stays_within_memory_cap():
+    # unchunked, 64 probes on a 9-qubit state would hold 64 x 2 x 4^8
+    # complex entries (128 MiB) in the evaluation core at once
+    rho = white_noise(ghz(9).to_density(), 0.8)
+    probes = [_random_probe(rho.dims, np.random.default_rng(r)) for r in range(64)]
+    evaluate_batch(rho, probes[:1], [2])
+    tracemalloc.start()
+    try:
+        evaluate_batch(rho, probes, [2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

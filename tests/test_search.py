@@ -9,12 +9,17 @@ import pytest
 
 from ksep import (
     GuardError,
+    NoisyPureState,
     ParameterError,
     ProductProbe,
+    enumerate_kpartitions,
     evaluate,
     ghz,
     maximally_mixed,
+    partition_product_pure,
     random_density,
+    random_product_pure,
+    random_pure,
     w_state,
     white_noise,
 )
@@ -621,3 +626,91 @@ def test_scan_result_json_shape():
     doc_t = result.to_json_dict(include_trace=True)
     assert doc_t["trace"] == [{"phase": "grid", "p": 0.5, "lhs": 0.1, "detected": True}]
     assert doc["probe_at_threshold"]["u"][0][0] == [1.0, 0.0]
+
+
+# --- pure states under white noise -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2, 2), (2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_lockstep_climb_on_kets_matches_serial_route(dims, monkeypatch):
+    rng = np.random.default_rng(len(dims) * 7 + sum(dims))
+    for state in (white_noise(random_pure(dims, rng), 1.0), white_noise(random_pure(dims, rng), 0.8)):
+        for k in range(1, len(dims) + 1):
+            for seed in (0, 3):
+                serial = _serial_restarts(state, k, SearchConfig(restarts=4, max_iters=12, seed=seed))
+                value, u, v = serial[0]
+                for cand in serial[1:]:
+                    if cand[0] > value:
+                        value, u, v = cand
+                cfg = SearchConfig(restarts=4, max_iters=12, seed=seed)
+                for cap in (search.MAX_BATCH_ENTRIES, 1):
+                    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", cap)
+                    report = optimize_probe(state, k, cfg)
+                    case = (dims, state.p, k, seed, cap)
+                    assert report.lhs == value, case
+                    for got, want in zip(report.probe.u + report.probe.v, u + v):
+                        assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("ghz2", 2, 1), ("ghz3", 2, 2), ("ghz3", 3, 1), ("w3", 2, 2), ("w3", 3, 1)],
+    ids=lambda c: f"{c[0]}-k{c[1]}-r{c[2]}",
+)
+def test_grid_batch_on_a_ket_matches_serial_scan(case, monkeypatch):
+    # a ket target climbs ket levels, white_noise(target, p); the grid batch
+    # gives every level the bits of its own search
+    name, k, restarts = case
+    target = ghz(int(name[3:])) if name.startswith("ghz") else w_state(3)
+    cfg = SearchConfig(restarts=restarts, max_iters=15, seed=3 * restarts + k)
+    want = json.dumps(_serial_scan(target, k, 1e-2, cfg, 1e-9).to_json_dict(include_trace=True))
+    levels = []
+    monkeypatch.setattr(search, "white_noise", lambda x, p: levels.append(white_noise(x, p)) or levels[-1])
+    for cap in (search.MAX_BATCH_ENTRIES, 1):
+        monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", cap)
+        got = scan_noise(target, k, 1e-2, cfg).to_json_dict(include_trace=True)
+        assert json.dumps(got) == want, (case, cap)
+    assert levels and all(type(level) is NoisyPureState for level in levels)
+    # the same state held as a ket under white noise scans the same
+    got = scan_noise(white_noise(target, 1.0), k, 1e-2, cfg).to_json_dict(include_trace=True)
+    assert json.dumps(got) == want
+
+
+# --- soundness on kets ----------------------------------------------------------------
+
+
+def test_default_search_does_not_certify_the_biseparable_ket():
+    # |a> x |psi_BC> is 2-separable; held densely, the default search at k=2
+    # reaches lhs 2.16e-9 on it from rounding alone
+    rng = np.random.default_rng(11)
+    vecs = [random_pure((2,), rng).vec, random_pure((2, 2), rng).vec]
+    state = white_noise(partition_product_pure((2, 2, 2), [(0,), (1, 2)], vecs), 1.0)
+    report = optimize_probe(state, 2, SearchConfig())
+    assert not report.detected, report.lhs
+
+
+def _separable_kets(seed):
+    """(ket, k) pairs that are k-separable: a biseparable ket on every cut of
+    3 and 4 qubits at k=2, and a product ket at k=n."""
+    rng = np.random.default_rng(100 + seed)
+    out = []
+    for n in (3, 4):
+        dims = (2,) * n
+        for part in enumerate_kpartitions(n, 2):
+            blocks = part.blocks()
+            vecs = [random_pure((2,) * len(block), rng).vec for block in blocks]
+            out.append((partition_product_pure(dims, blocks, vecs), 2))
+        out.append((random_product_pure(dims, rng), n))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_default_search_never_certifies_separable_kets(seed):
+    cfg = SearchConfig(seed=seed)
+    for psi, k in _separable_kets(seed):
+        report = optimize_probe(white_noise(psi, 1.0), k, cfg)
+        assert not report.detected, (psi.dims, k, report.lhs)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ksep import (
     DimensionError,
     FormatError,
     GuardError,
+    NoisyPureState,
     NormalizationError,
     ParameterError,
     ProductProbe,
@@ -588,3 +590,131 @@ def test_save_load_keeps_every_bit(tmp_path):
         save_state(rho, path)
         assert load_state(path).mat.tobytes() == rho.mat.tobytes()
     assert "-0.0" in path.read_text()
+
+
+# --- non-finite state file entries ----------------------------------------------
+
+
+_FINITE = "expected a finite [re, im] pair, got"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dims": [2], "matrix": [[[1.0, 0.0], [NaN, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}', f"matrix entry (0, 1): {_FINITE} [nan, 0.0]"),
+        ('{"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, Infinity], [0.0, 0.0]]]}', f"matrix entry (1, 0): {_FINITE} [0.0, inf]"),
+        ('{"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-Infinity, 0.0]]]}', f"matrix entry (1, 1): {_FINITE} [-inf, 0.0]"),
+        ('{"dims": [2], "matrix": [[[1e400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}', f"matrix entry (0, 0): {_FINITE} [inf, 0.0]"),
+        ('{"dims": [2], "vector": [[1.0, 0.0], [NaN, NaN]]}', f"vector entry 1: {_FINITE} [nan, nan]"),
+        ('{"dims": [2], "vector": [[1e400, 0.0], [0.0, 0.0]]}', f"vector entry 0: {_FINITE} [inf, 0.0]"),
+        ('{"dims": [2, 2], "vector": [[0.5, 0.0], [0.5, 0.0], [0.5, -1e400], [0.5, 0.0]]}', f"vector entry 2: {_FINITE} [0.5, -inf]"),
+        # two faults: the first one in reading order, of either kind
+        ('{"dims": [2], "matrix": [[[NaN, 0.0], [0.0, true]], [[0.0, 0.0], [0.0, 0.0]]]}', f"matrix entry (0, 0): {_FINITE} [nan, 0.0]"),
+        ('{"dims": [2], "matrix": [[[1.0, 0.0], [0.0, true]], [[NaN, 0.0], [0.0, 0.0]]]}', f"matrix entry (0, 1): {_PAIR} [0.0, True]"),
+        ('{"dims": [2], "matrix": [[[1.0, 0.0], [0.0, NaN]], [[0.0, 0.0]]]}', f"matrix entry (0, 1): {_FINITE} [0.0, nan]"),
+        ('{"dims": [2], "vector": [[0.0], [NaN, 0.0]]}', f"vector entry 0: {_PAIR} [0.0]"),
+    ],
+)
+def test_state_file_refuses_non_finite_entries_without_warnings(tmp_path, text, message):
+    # the entry is named before any arithmetic reads it: no numpy warning,
+    # no density-check record of nan defects
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as err:
+            load_state(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_probe_reader_still_takes_non_finite_numbers():
+    # probe files refuse them through the unit-norm check instead
+    entries = [[math.nan, 0.0], [math.inf, -math.inf]]
+    got = ksep.states._complex_entries(entries, lambda i: f"entry {i}")
+    assert got.tobytes() == np.array([complex(math.nan, 0.0), complex(math.inf, -math.inf)]).tobytes()
+    with pytest.raises(FormatError, match=r"^entry 0: expected a finite \[re, im\] pair, got \[nan, 0.0\]$"):
+        ksep.states._complex_entries(entries, lambda i: f"entry {i}", finite=True)
+
+
+# --- pure states under white noise -------------------------------------------------
+
+
+def _kets():
+    rng = np.random.default_rng(8)
+    return [ghz(3), ghz(2, 3), w_state(4), random_pure((2, 3), rng), random_pure((2,) * 5, rng)]
+
+
+@pytest.mark.parametrize("p", [-0.01, 1.01, math.nan, math.inf, -math.inf])
+def test_noisy_pure_state_refuses_p_as_white_noise_does(p):
+    with pytest.raises(ParameterError) as dense:
+        white_noise(ghz(2).to_density(), p)
+    for build in (lambda: NoisyPureState(ghz(2), p), lambda: white_noise(ghz(2), p)):
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == str(dense.value)
+    # the outer p is checked before it scales an inner one
+    with pytest.raises(ParameterError) as err:
+        white_noise(NoisyPureState(ghz(2), 0.5), p)
+    assert str(err.value) == str(dense.value)
+
+
+def test_noisy_pure_state_needs_a_pure_state():
+    with pytest.raises(ParameterError):
+        NoisyPureState(ghz(2).to_density(), 0.5)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0, 1])
+def test_noisy_pure_state_is_white_noise_on_its_ket(p):
+    for psi in _kets():
+        state = white_noise(psi, p)
+        assert type(state) is NoisyPureState
+        assert state.pure is psi and type(state.p) is float and state.p == p
+        assert (state.dims, state.site_count, state.dim) == (psi.dims, len(psi.dims), psi.vec.shape[0])
+        want = white_noise(psi.to_density(), p)
+        assert state.to_density().dims == want.dims
+        assert state.to_density().mat.tobytes() == want.mat.tobytes()
+
+
+# measured largest deviation 5.6e-17 over the cases below
+DOUBLE_NOISE_TOL = 1e-15
+
+
+def test_white_noise_twice_on_a_ket_is_the_dense_double_application():
+    for psi in _kets():
+        for p0, p in itertools.product((1.0, 0.9, 0.35, 0.0), (1.0, 0.7, 0.2)):
+            twice = white_noise(white_noise(psi, p0), p)
+            assert type(twice) is NoisyPureState and twice.pure is psi and twice.p == p * p0
+            dense = white_noise(white_noise(psi.to_density(), p0), p)
+            assert np.abs(twice.to_density().mat - dense.mat).max() <= DOUBLE_NOISE_TOL
+
+
+def test_noisy_pure_state_record_matches_check_density():
+    for psi in _kets():
+        for p in (0.0, 0.4, 1.0):
+            state = white_noise(psi, p)
+            got = state.diagnostics()
+            want = check_density(state.to_density().mat)
+            assert got.accepted and want.accepted
+            assert got.hermiticity_defect == 0.0 and want.hermiticity_defect <= 1e-16
+            assert got.trace_defect == pytest.approx(want.trace_defect, abs=1e-14)
+            assert got.min_eigenvalue == pytest.approx(want.min_eigenvalue, abs=1e-14)
+            assert got.tol == want.tol
+
+
+def test_noisy_pure_state_validates_without_its_matrix(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a noisy ket is validated from its ket")
+
+    monkeypatch.setattr(ksep.states, "_dominance_accepts", no_dense)
+    monkeypatch.setattr(ksep.states, "check_density", no_dense)
+    monkeypatch.setattr(NoisyPureState, "to_density", no_dense)
+    for psi in _kets():
+        white_noise(psi, 0.6).validate()
+    # a norm off by 8e-13 passes PureState's check, not a tighter trace tolerance
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = 1.0 + 8e-13
+    state = white_noise(PureState((2, 2), vec), 0.5)
+    with pytest.raises(StateValidationError) as err:
+        state.validate(1e-13)
+    assert not err.value.diagnostics.accepted
+    assert err.value.diagnostics.trace_defect == pytest.approx(8e-13, rel=1e-3)
