@@ -773,3 +773,22 @@ def test_evaluate_batch_stays_within_memory_cap():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_ket_core_keeps_the_factor_norms():
+    # the noise part is (1 - p) / D <x_a|x_a>: with factors scaled off the
+    # unit sphere, differently per copy and site, the ket route must still
+    # agree with the dense contraction, which sees the norms implicitly
+    rng = np.random.default_rng(5)
+    for dims in [(2, 2, 2), (2, 3, 4), (3, 2)]:
+        psi = random_pure(dims, rng)
+        probes = [_random_probe(dims, rng) for _ in range(3)]
+        factors = _stack(probes, dims)
+        for f in factors.values():
+            f *= rng.uniform(0.5, 2.0, size=f.shape[1:3])[None, :, :, None]
+        for p in (0.8, 0.0):
+            state = white_noise(psi, p)
+            first, weights = _weights(_interleaved([state]), factors)
+            want_first, want_weights = _weights(_interleaved([state.to_density()]), factors)
+            np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(first, want_first, rtol=1e-13, atol=0)
