@@ -39,6 +39,7 @@ explicit route).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -151,35 +152,101 @@ class ProductProbe:
         return cls(parse_copy("u"), parse_copy("v"))
 
 
+class PartitionTerms(Sequence):
+    """The (``KPartition``, term) pairs of a report, held as arrays.
+
+    ``rows`` is the (P, n) array of the partitions' label strings, ``k``
+    their block count and ``values`` the (P,) float terms, in report order.
+    A read-only sequence of P pairs: ``len``, iteration, indexing (negative
+    indices too; a slice is another ``PartitionTerms``) and equality work as
+    on the tuple ``tuple(zip(partitions, values))``, which it compares equal
+    to in both directions and hashes like.  Each ``KPartition`` is built
+    when its pair is read, so a report holds no object per partition.
+    """
+
+    __slots__ = ("rows", "k", "values")
+
+    def __init__(self, rows: np.ndarray, k: int, values: np.ndarray):
+        values.setflags(write=False)
+        self.rows, self.k, self.values = rows, k, values
+
+    @classmethod
+    def of_pairs(cls, pairs) -> "PartitionTerms":
+        """The sequence of ``(KPartition, value)`` pairs given in that order."""
+        pairs = tuple(pairs)
+        if not pairs:
+            return cls(np.zeros((0, 0), dtype=np.int8), 0, np.zeros(0))
+        k = pairs[0][0].k
+        rows = np.array([part.rgs for part, _value in pairs], dtype=np.min_scalar_type(-k))
+        rows.setflags(write=False)
+        return cls(rows, k, np.array([value for _part, value in pairs], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return zip(_partitions_of(self.rows.shape[1], self.k, self.rows), self.values.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PartitionTerms(self.rows[index], self.k, self.values[index])
+        i = range(len(self))[index]  # IndexError past either end
+        part = next(_partitions_of(self.rows.shape[1], self.k, self.rows[i : i + 1]))
+        return part, float(self.values[i])
+
+    def __eq__(self, other):
+        if isinstance(other, PartitionTerms):
+            # equal label strings are equal partitions; NaN terms are unequal,
+            # as two NaN floats in tuples are
+            return np.array_equal(self.values, other.values) and (
+                not len(self) or np.array_equal(self.rows, other.rows)
+            )
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Outcome of one criterion evaluation.
 
     ``lhs`` equals ``first_term`` minus the sum of the partition terms, the
-    terms listed in enumeration order of the partitions.
+    terms listed in enumeration order of the partitions.  ``partition_terms``
+    is a ``PartitionTerms``; any other sequence of (``KPartition``, value)
+    pairs given for it is turned into one, in the order given.
     """
 
     k: int
     lhs: float
     first_term: float
-    partition_terms: tuple[tuple[KPartition, float], ...]
+    partition_terms: PartitionTerms
     probe: ProductProbe
     verdict: str
     tolerance: float
+
+    def __post_init__(self):
+        if not isinstance(self.partition_terms, PartitionTerms):
+            object.__setattr__(self, "partition_terms", PartitionTerms.of_pairs(self.partition_terms))
 
     @property
     def detected(self) -> bool:
         return self.verdict == NOT_K_SEPARABLE
 
     def to_json_dict(self) -> dict:
-        notations = _notations([part.rgs for part, _value in self.partition_terms])
+        terms = self.partition_terms
         return {
             "k": self.k,
             "lhs": self.lhs,
             "first_term": self.first_term,
             "terms": [
                 {"partition": notation, "value": value}
-                for notation, (_part, value) in zip(notations, self.partition_terms)
+                for notation, value in zip(_notations(terms.rows), terms.values.tolist())
             ],
             "verdict": self.verdict,
             "tolerance": self.tolerance,
@@ -187,13 +254,21 @@ class CriterionReport:
 
 
 class _Plan(NamedTuple):
-    """Partitions of n sites into k blocks in enumeration order, with their
-    merged swap sets as site bit masks (one row per partition, one column
-    per swap set) and the exponent multiplicity / (2 k^2) of each column."""
+    """Partitions of n sites into k blocks in enumeration order, as the
+    (P, n) label strings of ``_label_rows``, with their merged swap sets as
+    site bit masks (one row per partition, one column per swap set) and the
+    exponent multiplicity / (2 k^2) of each column.  All three are
+    read-only arrays, shared by every report of the plan."""
 
-    partitions: tuple[KPartition, ...]
+    rows: np.ndarray
     masks: np.ndarray
     expo: np.ndarray
+
+    @property
+    def partitions(self) -> tuple[KPartition, ...]:
+        """The ``KPartition`` of every row, built on access."""
+        k = int(self.rows[0].max()) + 1  # every row uses the labels 0..k-1
+        return tuple(_partitions_of(self.rows.shape[1], k, self.rows))
 
 
 def _swap_masks(rgs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +295,10 @@ def _partition_plan(n: int, k: int) -> _Plan:
     enumerating, past MAX_PARTITIONS.
     """
     rgs = _label_rows(n, k)
-    return _Plan(tuple(_partitions_of(n, k, rgs)), *_swap_masks(rgs, k))
+    plan = _Plan(rgs, *_swap_masks(rgs, k))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 @lru_cache(maxsize=64)
@@ -484,7 +562,7 @@ def evaluate(
         k=k,
         lhs=lhs,
         first_term=float(first[0]),
-        partition_terms=tuple(zip(plan.partitions, terms[0].tolist())),
+        partition_terms=PartitionTerms(plan.rows, k, terms[0]),
         probe=probe,
         verdict=NOT_K_SEPARABLE if lhs > tolerance else INCONCLUSIVE,
         tolerance=tolerance,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -40,7 +41,8 @@ from ksep import (
     white_noise,
 )
 from ksep import search
-from ksep.criterion import _interleaved, _partition_plan, _stack, _weights, evaluate_batch
+from ksep.criterion import PartitionTerms, _interleaved, _partition_plan, _stack, _weights, evaluate_batch
+from ksep.partitions import _label_rows, _notations, _partitions_of
 from ksep.search import GHZ_PAIR, canonical_probe
 
 
@@ -792,3 +794,155 @@ def test_ket_core_keeps_the_factor_norms():
             want_first, want_weights = _weights(_interleaved([state.to_density()]), factors)
             np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=0)
             np.testing.assert_allclose(first, want_first, rtol=1e-13, atol=0)
+
+
+# --- partition terms as label rows --------------------------------------------
+
+
+def _old_json_terms(pairs):
+    # the report's term list as it was written from a tuple of pairs: the
+    # notations of the rows rebuilt from every KPartition, then the values
+    notations = _notations([part.rgs for part, _value in pairs])
+    return [{"partition": s, "value": v} for s, (_part, v) in zip(notations, pairs)]
+
+
+def test_partition_terms_equal_the_pair_tuple():
+    # referee: for every (n, k) with n <= 8 the sequence is the tuple of
+    # (KPartition, term) pairs, and every term is partition_term's
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        rho = random_density((2,) * n, rng)
+        probe = _random_probe(rho.dims, rng)
+        cache = {}
+        for k in range(1, n + 1):
+            terms = evaluate(rho, probe, k, cache=cache).partition_terms
+            rows = _label_rows(n, k)
+            want = tuple(zip(_partitions_of(n, k, rows), terms.values.tolist()))
+            assert terms == want and want == terms, (n, k)
+            assert not terms != want and not want != terms
+            assert tuple(terms) == want and list(terms) == list(want)
+            assert len(terms) == len(want) == stirling2(n, k)
+            assert np.array_equal(terms.rows, rows) and terms.k == k
+            for part, value in terms:
+                assert part.rgs == tuple(part.rgs) and type(value) is float
+                got = partition_term(rho, probe, part, cache)
+                assert _bits(value) == _bits(got), (n, k, part.rgs)
+            for i in (0, len(want) - 1, -1, -len(want), len(want) // 2, -(len(want) // 3) - 1):
+                assert terms[i] == want[i], (n, k, i)
+                assert type(terms[i][1]) is float
+            for bad in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    terms[bad]
+            for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+                        slice(1, 7, 2), slice(-3, None), slice(5, 2)):
+                assert terms[cut] == want[cut] and want[cut] == terms[cut], (n, k, cut)
+                assert type(terms[cut]) is PartitionTerms and tuple(terms[cut]) == want[cut]
+            assert hash(terms) == hash(want)
+            assert repr(terms) == repr(want)
+
+
+def test_partition_terms_differ_where_the_tuples_do():
+    rho = random_density((2, 2, 2, 2), np.random.default_rng(2))
+    probe = _random_probe(rho.dims, np.random.default_rng(3))
+    terms = evaluate(rho, probe, 2).partition_terms
+    pairs = tuple(terms)
+    moved = pairs[:1] + ((pairs[1][0], pairs[1][1] + 1.0),) + pairs[2:]
+    parts, values = zip(*pairs)
+    # the same values against other partitions, as a reordered oracle gives
+    swapped = dataclasses.replace(evaluate(rho, probe, 2), partition_terms=tuple(zip(parts[::-1], values)))
+    for other in (pairs[::-1], pairs[:-1], moved, evaluate(rho, probe, 3).partition_terms,
+                  swapped.partition_terms):
+        assert terms != other and other != terms
+        assert not terms == other
+    # a list is not a tuple, as before
+    assert terms != list(pairs)
+
+
+def test_reports_from_pairs_and_from_evaluate_agree():
+    # a report given a tuple of pairs holds the same sequence, so reports
+    # built by the oracle's route and by evaluate compare equal either way
+    rng = np.random.default_rng(21)
+    for n in range(1, 5):
+        rho = random_density((2,) * n, rng)
+        probe = _random_probe(rho.dims, rng)
+        for k in range(1, n + 1):
+            report = evaluate(rho, probe, k)
+            oracle = oracle_evaluate(rho, probe, k)
+            assert [p for p, _ in oracle.partition_terms] == [p for p, _ in report.partition_terms]
+            values = [t for _, t in report.partition_terms]
+            built = dataclasses.replace(
+                oracle,
+                lhs=report.lhs,
+                first_term=report.first_term,
+                probe=probe,
+                partition_terms=tuple(zip(enumerate_kpartitions(n, k), values)),
+            )
+            assert report == built and built == report, (n, k)
+            assert report.partition_terms == built.partition_terms
+            assert dataclasses.replace(built, lhs=math.nextafter(report.lhs, 2.0)) != report
+    # hashing a report still fails at the probe's arrays, as it did
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_report_json_matches_the_tuple_route():
+    rng = np.random.default_rng(8)
+    rho = random_density((2, 2, 3, 2), rng)
+    probe = _random_probe(rho.dims, rng)
+    for k in range(1, 5):
+        report = evaluate(rho, probe, k)
+        pairs = tuple(report.partition_terms)
+        # the parts reversed against the values, as a reordered oracle does
+        parts, values = zip(*pairs)
+        for given in (pairs, tuple(zip(parts[::-1], values)), pairs[::-1], ()):
+            built = dataclasses.replace(report, partition_terms=given)
+            doc = built.to_json_dict()
+            assert doc["terms"] == _old_json_terms(given)
+            assert doc["terms"] == [
+                {"partition": part.notation(), "value": value} for part, value in given
+            ]
+            assert tuple(built.partition_terms) == given
+        assert report.to_json_dict() == dataclasses.replace(report, partition_terms=pairs).to_json_dict()
+        assert json.dumps(report.to_json_dict()) == json.dumps(
+            {**report.to_json_dict(), "terms": _old_json_terms(pairs)}
+        )
+
+
+def test_partition_plan_holds_only_arrays():
+    # no object per partition: the (10, 5) plan is its int8 label rows, its
+    # int64 masks and the exponents, within a small margin of their bytes
+    tracemalloc.start()
+    try:
+        plan = _partition_plan.__wrapped__(10, 5)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(type(field) is np.ndarray for field in plan)
+    assert plan.rows.dtype == np.int8 and plan.rows.shape == (42525, 10)
+    assert not any(field.flags.writeable for field in plan)
+    assert size < plan.rows.nbytes + plan.masks.nbytes + 256 * 2**10
+    assert plan.partitions == tuple(enumerate_kpartitions(10, 5))
+
+
+def test_warm_evaluate_builds_no_object_per_partition():
+    rho = white_noise(ghz(10), 0.8)
+    probe = _random_probe(rho.dims, np.random.default_rng(4))
+    evaluate(rho, probe, 5)
+    collections = []
+
+    def record(phase, info):
+        collections.append(phase)
+
+    gc.collect()
+    before = len(gc.get_objects())
+    gc.callbacks.append(record)
+    try:
+        report = evaluate(rho, probe, 5)
+    finally:
+        gc.callbacks.remove(record)
+    # nothing is kept per partition, and too little is made to start the
+    # collector, which one object per partition would (every 700 objects)
+    assert len(gc.get_objects()) - before < 200
+    assert collections == []
+    assert len(report.partition_terms) == 42525
+
