@@ -363,6 +363,21 @@ def _interleaved(states):
     return np.stack([rho.interleaved for rho in states])
 
 
+def _core_entries(state: DensityMatrix | NoisyPureState) -> tuple[int, int]:
+    """Complex entries the core holds for ``state``, per probe and per state.
+
+    Per probe, its largest product: 2 D^2 / d^2 on a dense state and 2 D / d
+    on a noisy ket (D the state dimension, d the last site's).  Per state,
+    what a stacked batch of states holds: a dense state's matrix,
+    interleaved copy and slot in ``_interleaved``'s stack, 3 D^2, and a
+    noisy ket's slot, D (the ket itself is shared by every noise level).
+    """
+    dim, d = state.dim, state.dims[-1]
+    if isinstance(state, NoisyPureState):
+        return 2 * dim // d, dim
+    return 2 * dim * dim // (d * d), 3 * dim * dim
+
+
 def _weights(inter, factors) -> tuple[np.ndarray, np.ndarray]:
     """First terms |<phi1|rho|phi2>| and the 2^n swapped diagonal weights of probes.
 
@@ -575,9 +590,9 @@ def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarra
     Returns a (len(ks), len(probes)) array whose entry [i, r] equals
     ``evaluate(rho, probes[r], ks[i]).lhs`` bit for bit.  The probes go
     through the evaluation core in chunks whose largest array holds at most
-    ``search.MAX_BATCH_ENTRIES`` complex entries on a dense state, 2 D^2 / d^2
-    per probe (D the state dimension, d the last site's), and at least one
-    probe; rows are independent, so the chunking does not change a bit.
+    ``search.MAX_BATCH_ENTRIES`` complex entries, ``_core_entries`` per
+    probe, and at least one probe; rows are independent, so the chunking
+    does not change a bit.
     Raises ParameterError for no probes or a k outside 1..n, and GuardError
     past the partition guard, before any evaluation.
     """
@@ -590,7 +605,7 @@ def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarra
         _check_compatible(rho, probe)
     plans = [_partition_plan(rho.site_count, k) for k in ks]
     inter = _interleaved([rho])
-    chunk = max(1, MAX_BATCH_ENTRIES // (2 * rho.dim**2 // rho.dims[-1] ** 2))
+    chunk = max(1, MAX_BATCH_ENTRIES // _core_entries(rho)[0])
     out = np.empty((len(plans), len(probes)))
     for lo in range(0, len(probes), chunk):
         first, weights = _weights(inter, _stack(probes[lo : lo + chunk], rho.dims))

@@ -35,13 +35,13 @@ PROBE_STYLES = (GHZ_PAIR, BASIS_PAIR, RANDOM)
 MAX_DENSE_POINTS = 10_001
 
 # most complex entries the restarts climbing in lockstep may hold in their
-# largest array, R * 2 * D^2 / d^2 in the evaluation core (or the normals of
-# their kicks, if larger): 2^20 entries, 16 MiB, the size of one 10-qubit
-# density matrix.  Restarts past it climb in further batches, with the same
-# results.  A scan's grid levels share a batch only while all their restarts
-# and 3 * D^2 entries per level (its matrix, interleaved copy and slot in the
-# stacked core input) fit.  The rule is sized for dense states; a noisy ket
-# needs far less, and gets the same results from the same batches.
+# largest array, R times the evaluation core's per-probe entries (2 D^2 / d^2
+# on a dense state, 2 D / d on a noisy ket; ``criterion._core_entries``) or
+# the normals of their kicks, if larger: 2^20 entries, 16 MiB, the size of
+# one 10-qubit density matrix.  Restarts past it climb in further batches,
+# with the same results.  A scan's grid levels share a batch only while all
+# their restarts and each level's own entries (3 D^2 dense: its matrix,
+# interleaved copy and slot in the stacked core input; D for a ket) fit.
 MAX_BATCH_ENTRIES = 1 << 20
 
 
@@ -306,9 +306,10 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
     ``states`` is an iterable of states with site dimensions ``dims``, one
     per level.  Every level runs the same seeded search, so the levels share their
     starts and kicks: they are drawn once per batch and climbed in lockstep,
-    one core call per iteration for the whole batch.  A batch holds whole
-    levels only while all their restarts plus each level's matrix,
-    interleaved copy and slot in the stacked core input fit within
+    one core call per iteration for the whole batch.  The states are of
+    one kind, dense or noisy kets, and the first one sizes the batches
+    (``criterion._core_entries``): a batch holds whole levels only while
+    all their restarts plus each level's own entries fit within
     MAX_BATCH_ENTRIES complex entries; otherwise it is one level, whose
     restarts climb in batches under the same cap.  ``states`` is read one
     batch at a time, so a generator builds each state only when its batch
@@ -316,16 +317,20 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
     Each report is the one ``optimize_probe`` gives on that state alone.
     """
     plan = criterion._partition_plan(len(dims), k)
-    size = math.prod(dims) ** 2
+    levels = iter(states)
+    batch = list(itertools.islice(levels, 1))
+    if not batch:
+        return []
+    per_probe, per_level = criterion._core_entries(batch[0])
     # per restart: the largest product of the evaluation core, and the
     # normals of the kicks (two of them fill one complex entry)
-    entries = max(2 * size // dims[-1] ** 2, 2 * cfg.max_iters * sum(dims))
+    entries = max(per_probe, 2 * cfg.max_iters * sum(dims))
     chunk = max(1, MAX_BATCH_ENTRIES // entries)
-    per_batch = max(1, MAX_BATCH_ENTRIES // (cfg.restarts * entries + 3 * size))
+    per_batch = max(1, MAX_BATCH_ENTRIES // (cfg.restarts * entries + per_level))
+    batch += itertools.islice(levels, per_batch - 1)
 
     reports = []
-    levels = iter(states)
-    while batch := list(itertools.islice(levels, per_batch)):
+    while batch:
         best = [None] * len(batch)
         for lo in range(0, cfg.restarts, chunk):
             restarts = range(lo, min(lo + chunk, cfg.restarts))
@@ -342,6 +347,7 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
             reports.append(criterion.evaluate(rho, probe, k, tolerance))
         # release this batch's states before the next batch builds its own
         del batch, rho
+        batch = list(itertools.islice(levels, per_batch))
     return reports
 
 

@@ -946,3 +946,29 @@ def test_warm_evaluate_builds_no_object_per_partition():
     assert collections == []
     assert len(report.partition_terms) == 42525
 
+
+def test_evaluate_batch_sizes_its_chunks_by_state_kind(monkeypatch):
+    # a noisy ket at n=10 holds 2 D / d = 1024 entries per probe, so 40
+    # probes are one core call; held densely they are 20 calls of 2
+    import ksep.criterion as criterion
+
+    calls = []
+
+    def counted(inter, factors):
+        calls.append(len(next(iter(factors.values()))))
+        return _weights(inter, factors)
+
+    state = white_noise(ghz(10), 0.8)
+    probes = [_random_probe(state.dims, np.random.default_rng(r)) for r in range(40)]
+    monkeypatch.setattr(criterion, "_weights", counted)
+    whole = evaluate_batch(state, probes, [2, 3])
+    assert calls == [40]
+    calls.clear()
+    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
+    assert evaluate_batch(state, probes, [2, 3]).tobytes() == whole.tobytes()
+    assert calls == [1] * 40
+    monkeypatch.undo()
+    monkeypatch.setattr(criterion, "_weights", counted)
+    calls.clear()
+    evaluate_batch(state.to_density(), probes[:4], [2])
+    assert calls == [2, 2]

@@ -714,3 +714,54 @@ def test_default_search_never_certifies_separable_kets(seed):
     for psi, k in _separable_kets(seed):
         report = optimize_probe(white_noise(psi, 1.0), k, cfg)
         assert not report.detected, (psi.dims, k, report.lhs)
+
+
+# --- batch sizes by state kind --------------------------------------------------------
+
+
+def _climb_sizes(monkeypatch):
+    """Record (states, restarts) of every lockstep climb."""
+    sizes = []
+
+    def counted(rho, plan, starts, rngs, cfg, history=None):
+        sizes.append((len(rho), len(starts)))
+        return _climb(rho, plan, starts, rngs, cfg, history)
+
+    monkeypatch.setattr(search, "_climb", counted)
+    return sizes
+
+
+def _report_json(report):
+    return json.dumps([report.to_json_dict(), report.probe.to_json_dict()])
+
+
+def test_ket_search_climbs_its_restarts_in_one_batch(monkeypatch):
+    # a noisy ket's core holds 2 D / d entries per probe, so at n=10 all 32
+    # restarts fit one batch, where a dense state climbs 2 at a time
+    state = white_noise(ghz(10), 0.8)
+    cfg = SearchConfig(restarts=32, max_iters=20)
+    sizes = _climb_sizes(monkeypatch)
+    batched = optimize_probe(state, 2, cfg)
+    assert sizes == [(1, 32)]
+    sizes.clear()
+    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
+    alone = optimize_probe(state, 2, cfg)
+    assert sizes == [(1, 1)] * 32
+    assert _report_json(batched) == _report_json(alone)
+    sizes.clear()
+    monkeypatch.undo()
+    sizes = _climb_sizes(monkeypatch)
+    optimize_probe(state.to_density(), 2, SearchConfig(restarts=4, max_iters=1))
+    assert sizes == [(1, 2), (1, 2)]
+
+
+def test_ket_scan_climbs_its_grid_in_one_batch(monkeypatch):
+    # 17 ket levels at n=10 share one batch; dense ones would climb one at a time
+    target = ghz(10)
+    cfg = SearchConfig(restarts=2, max_iters=3, seed=5)
+    sizes = _climb_sizes(monkeypatch)
+    batched = scan_noise(target, 2, 0.05, cfg).to_json_dict(include_trace=True)
+    assert sizes[0] == (17, 2)
+    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
+    alone = scan_noise(target, 2, 0.05, cfg).to_json_dict(include_trace=True)
+    assert json.dumps(batched) == json.dumps(alone)
