@@ -318,9 +318,7 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
     """
     plan = criterion._partition_plan(len(dims), k)
     levels = iter(states)
-    batch = list(itertools.islice(levels, 1))
-    if not batch:
-        return []
+    batch = [next(levels)]
     per_probe, per_level = criterion._core_entries(batch[0])
     # per restart: the largest product of the evaluation core, and the
     # normals of the kicks (two of them fill one complex entry)
