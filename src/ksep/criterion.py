@@ -152,6 +152,15 @@ class ProductProbe:
         return cls(parse_copy("u"), parse_copy("v"))
 
 
+def _frozen(array) -> np.ndarray:
+    """``array`` itself if it is a read-only ndarray, else a read-only copy."""
+    array = np.asarray(array)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 class PartitionTerms(Sequence):
     """The (``KPartition``, term) pairs of a report, held as arrays.
 
@@ -162,13 +171,15 @@ class PartitionTerms(Sequence):
     on the tuple ``tuple(zip(partitions, values))``, which it compares equal
     to in both directions and hashes like.  Each ``KPartition`` is built
     when its pair is read, so a report holds no object per partition.
+    ``rows`` and ``values`` are read-only arrays: one given read-only is
+    kept, a writable one is copied, so the constructor never changes the
+    caller's arrays and writes to them do not reach the sequence.
     """
 
     __slots__ = ("rows", "k", "values")
 
     def __init__(self, rows: np.ndarray, k: int, values: np.ndarray):
-        values.setflags(write=False)
-        self.rows, self.k, self.values = rows, k, values
+        self.rows, self.k, self.values = _frozen(rows), k, _frozen(values)
 
     @classmethod
     def of_pairs(cls, pairs) -> "PartitionTerms":
@@ -178,8 +189,11 @@ class PartitionTerms(Sequence):
             return cls(np.zeros((0, 0), dtype=np.int8), 0, np.zeros(0))
         k = pairs[0][0].k
         rows = np.array([part.rgs for part, _value in pairs], dtype=np.min_scalar_type(-k))
+        values = np.array([value for _part, value in pairs], dtype=np.float64)
+        # both are new: marked read-only, they are taken without a copy
         rows.setflags(write=False)
-        return cls(rows, k, np.array([value for _part, value in pairs], dtype=np.float64))
+        values.setflags(write=False)
+        return cls(rows, k, values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -363,19 +377,24 @@ def _interleaved(states):
     return np.stack([rho.interleaved for rho in states])
 
 
-def _core_entries(state: DensityMatrix | NoisyPureState) -> tuple[int, int]:
+def _core_entries(state: DensityMatrix | NoisyPureState, plans) -> tuple[int, int]:
     """Complex entries the core holds for ``state``, per probe and per state.
 
-    Per probe, its largest product: 2 D^2 / d^2 on a dense state and 2 D / d
-    on a noisy ket (D the state dimension, d the last site's).  Per state,
-    what a stacked batch of states holds: a dense state's matrix,
-    interleaved copy and slot in ``_interleaved``'s stack, 3 D^2, and a
-    noisy ket's slot, D (the ket itself is shared by every noise level).
+    Per probe, its largest array: the core's largest product, 2 D^2 / d^2
+    on a dense state and 2 D / d on a noisy ket (D the state dimension, d
+    the last site's), or the swap-set factors ``_terms`` gathers for the
+    largest of ``plans``, one float per mask (two fill one complex entry),
+    if larger: at n=10, k=5 that is 318 938 entries, where a ket's core
+    holds 1 024.  Per state, what a stacked batch of states holds: a dense
+    state's matrix, interleaved copy and slot in ``_interleaved``'s stack,
+    3 D^2, and a noisy ket's slot, D (the ket itself is shared by every
+    noise level).
     """
     dim, d = state.dim, state.dims[-1]
+    gathered = max(((plan.masks.size + 1) // 2 for plan in plans), default=0)
     if isinstance(state, NoisyPureState):
-        return 2 * dim // d, dim
-    return 2 * dim * dim // (d * d), 3 * dim * dim
+        return max(2 * dim // d, gathered), dim
+    return max(2 * dim * dim // (d * d), gathered), 3 * dim * dim
 
 
 def _weights(inter, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -572,6 +591,8 @@ def evaluate(
     plan = _partition_plan(rho.site_count, k)
     first, weights = _probe_weights(rho, probe, cache)
     terms = _terms(weights, plan.masks, plan.expo)
+    # a new array: marked read-only, the report takes it without a copy
+    terms.setflags(write=False)
     lhs = float(_reduce_lhs(first, terms)[0])
     return CriterionReport(
         k=k,
@@ -591,8 +612,8 @@ def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarra
     ``evaluate(rho, probes[r], ks[i]).lhs`` bit for bit.  The probes go
     through the evaluation core in chunks whose largest array holds at most
     ``search.MAX_BATCH_ENTRIES`` complex entries, ``_core_entries`` per
-    probe, and at least one probe; rows are independent, so the chunking
-    does not change a bit.
+    probe with the largest plan of ``ks``, and at least one probe; rows are
+    independent, so the chunking does not change a bit.
     Raises ParameterError for no probes or a k outside 1..n, and GuardError
     past the partition guard, before any evaluation.
     """
@@ -605,7 +626,7 @@ def evaluate_batch(rho: DensityMatrix | NoisyPureState, probes, ks) -> np.ndarra
         _check_compatible(rho, probe)
     plans = [_partition_plan(rho.site_count, k) for k in ks]
     inter = _interleaved([rho])
-    chunk = max(1, MAX_BATCH_ENTRIES // _core_entries(rho)[0])
+    chunk = max(1, MAX_BATCH_ENTRIES // _core_entries(rho, plans)[0])
     out = np.empty((len(plans), len(probes)))
     for lo in range(0, len(probes), chunk):
         first, weights = _weights(inter, _stack(probes[lo : lo + chunk], rho.dims))

@@ -36,12 +36,13 @@ MAX_DENSE_POINTS = 10_001
 
 # most complex entries the restarts climbing in lockstep may hold in their
 # largest array, R times the evaluation core's per-probe entries (2 D^2 / d^2
-# on a dense state, 2 D / d on a noisy ket; ``criterion._core_entries``) or
-# the normals of their kicks, if larger: 2^20 entries, 16 MiB, the size of
-# one 10-qubit density matrix.  Restarts past it climb in further batches,
-# with the same results.  A scan's grid levels share a batch only while all
-# their restarts and each level's own entries (3 D^2 dense: its matrix,
-# interleaved copy and slot in the stacked core input; D for a ket) fit.
+# on a dense state, 2 D / d on a noisy ket, or the plan's gathered swap-set
+# factors if more; ``criterion._core_entries``) or the normals of their
+# kicks, if larger: 2^20 entries, 16 MiB, the size of one 10-qubit density
+# matrix.  Restarts past it climb in further batches, with the same results.
+# A scan's grid levels share a batch only while all their restarts and each
+# level's own entries (3 D^2 dense: its matrix, interleaved copy and slot in
+# the stacked core input; D for a ket) fit.
 MAX_BATCH_ENTRIES = 1 << 20
 
 
@@ -319,9 +320,10 @@ def _search_levels(dims, states, k: int, cfg: SearchConfig, tolerance: float) ->
     plan = criterion._partition_plan(len(dims), k)
     levels = iter(states)
     batch = [next(levels)]
-    per_probe, per_level = criterion._core_entries(batch[0])
-    # per restart: the largest product of the evaluation core, and the
-    # normals of the kicks (two of them fill one complex entry)
+    per_probe, per_level = criterion._core_entries(batch[0], [plan])
+    # per restart: the largest array of the evaluation core and of the
+    # plan's terms, and the normals of the kicks (two of them fill one
+    # complex entry)
     entries = max(per_probe, 2 * cfg.max_iters * sum(dims))
     chunk = max(1, MAX_BATCH_ENTRIES // entries)
     per_batch = max(1, MAX_BATCH_ENTRIES // (cfg.restarts * entries + per_level))

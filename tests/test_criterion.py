@@ -858,6 +858,27 @@ def test_partition_terms_differ_where_the_tuples_do():
     assert terms != list(pairs)
 
 
+def test_partition_terms_leave_the_callers_arrays_alone():
+    # writable arrays are copied, not marked read-only, so the caller's
+    # arrays stay writable and writing to them changes neither the sequence
+    # nor its hash; read-only arrays, as evaluate and the plan give, are kept
+    rows = _label_rows(4, 2).copy()
+    values = np.linspace(0.1, 0.7, len(rows))
+    terms = PartitionTerms(rows, 2, values)
+    assert rows.flags.writeable and values.flags.writeable
+    assert not terms.rows.flags.writeable and not terms.values.flags.writeable
+    pairs, before = tuple(terms), hash(terms)
+    rows[0] = rows[1]
+    values[0] = 9.0
+    assert terms == pairs and hash(terms) == before
+    with pytest.raises(ValueError):
+        terms.values[0] = 9.0
+    report = evaluate(white_noise(ghz(4), 0.8), canonical_probe("ghz-pair", (2,) * 4), 2)
+    plan = _partition_plan(4, 2)
+    assert report.partition_terms.rows is plan.rows
+    assert not report.partition_terms.values.flags.writeable
+
+
 def test_reports_from_pairs_and_from_evaluate_agree():
     # a report given a tuple of pairs holds the same sequence, so reports
     # built by the oracle's route and by evaluate compare equal either way
@@ -948,8 +969,9 @@ def test_warm_evaluate_builds_no_object_per_partition():
 
 
 def test_evaluate_batch_sizes_its_chunks_by_state_kind(monkeypatch):
-    # a noisy ket at n=10 holds 2 D / d = 1024 entries per probe, so 40
-    # probes are one core call; held densely they are 20 calls of 2
+    # a noisy ket at n=10 holds 2 D / d = 1024 entries per probe (more than
+    # the k=2 plan's 767), so 40 probes are one core call; held densely
+    # they are 20 calls of 2
     import ksep.criterion as criterion
 
     calls = []
@@ -961,14 +983,47 @@ def test_evaluate_batch_sizes_its_chunks_by_state_kind(monkeypatch):
     state = white_noise(ghz(10), 0.8)
     probes = [_random_probe(state.dims, np.random.default_rng(r)) for r in range(40)]
     monkeypatch.setattr(criterion, "_weights", counted)
-    whole = evaluate_batch(state, probes, [2, 3])
+    whole = evaluate_batch(state, probes, [2])
     assert calls == [40]
     calls.clear()
     monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
-    assert evaluate_batch(state, probes, [2, 3]).tobytes() == whole.tobytes()
+    assert evaluate_batch(state, probes, [2]).tobytes() == whole.tobytes()
     assert calls == [1] * 40
     monkeypatch.undo()
     monkeypatch.setattr(criterion, "_weights", counted)
     calls.clear()
     evaluate_batch(state.to_density(), probes[:4], [2])
     assert calls == [2, 2]
+
+
+def test_evaluate_batch_counts_the_plan_in_its_chunks(monkeypatch):
+    # at n=10, k=5 a probe's gathered swap-set factors (42 525 x 15 floats)
+    # outgrow a noisy ket's core, so chunks hold 3 probes; at k=2 they do not
+    import ksep.criterion as criterion
+
+    calls = []
+
+    def counted(inter, factors):
+        calls.append(len(next(iter(factors.values()))))
+        return _weights(inter, factors)
+
+    state = white_noise(ghz(10), 0.8)
+    probes = [_random_probe(state.dims, np.random.default_rng(r)) for r in range(8)]
+    _partition_plan(10, 5)
+    monkeypatch.setattr(criterion, "_weights", counted)
+    tracemalloc.start()
+    try:
+        whole = evaluate_batch(state, probes, [2, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [3, 3, 2]
+    # 31.9 MB measured; 8 probes in one chunk peak at 83 MB
+    assert peak < 40e6
+    calls.clear()
+    assert evaluate_batch(state, probes, [2]).tobytes() == whole[:1].tobytes()
+    assert calls == [8]
+    calls.clear()
+    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
+    assert evaluate_batch(state, probes, [2, 5]).tobytes() == whole.tobytes()
+    assert calls == [1] * 8

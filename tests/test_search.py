@@ -755,6 +755,29 @@ def test_ket_search_climbs_its_restarts_in_one_batch(monkeypatch):
     assert sizes == [(1, 2), (1, 2)]
 
 
+def test_ket_search_counts_the_plan_in_its_batches(monkeypatch):
+    # at n=10, k=5 a restart's gathered swap-set factors (42 525 x 15 floats)
+    # outgrow a ket's core (1 024 entries), so 3 restarts fill the cap
+    state = white_noise(ghz(10), 0.8)
+    cfg = SearchConfig(restarts=8, max_iters=1)
+    _partition_plan(10, 5)
+    sizes = _climb_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        batched = optimize_probe(state, 5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [(1, 3), (1, 3), (1, 2)]
+    # two gathered arrays of at most 16 MiB each are alive at once (31.5 MB
+    # measured); all 8 restarts in one batch peak at 83 MB
+    assert peak < 40e6
+    sizes.clear()
+    monkeypatch.setattr(search, "MAX_BATCH_ENTRIES", 1)
+    assert _report_json(optimize_probe(state, 5, cfg)) == _report_json(batched)
+    assert sizes == [(1, 1)] * 8
+
+
 def test_ket_scan_climbs_its_grid_in_one_batch(monkeypatch):
     # 17 ket levels at n=10 share one batch; dense ones would climb one at a time
     target = ghz(10)
